@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for affirmative results (valid, provable, proof checks),
-1 for negative results, 2 for usage or parse errors.
+1 for negative results, 2 for usage or parse errors and for any
+internal failure.
 """
 
 from __future__ import annotations
@@ -268,6 +269,8 @@ def _cmd_probe_cut(args) -> int:
             "g_cutfree_found": report.g_cutfree_found,
             "sc_cutfree_found": report.sc_cutfree_found,
             "vacuous_bound": report.vacuous_bound,
+            "bound_hit": report.bound_hit,
+            "exhausted": report.exhausted,
         }, indent=2))
     else:
         print(report)
@@ -299,6 +302,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (SyntaxError_, ValueError, OSError, KeyError, _CliError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as e:
+        # an internal failure (e.g. RecursionError on deep nesting) must
+        # never read as the negative answer, exit 1
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -5,7 +5,8 @@ The calculus has the structural axiom a => a, the modal axiom
 definition, including the context-free contraposition rule and the two
 box rules that rewrite ~a to ~#a on the left and a & ~a to a & ~#a on
 the right.  Cut-free backward search is exhaustive up to a height
-bound; it exists to probe which sequents have no cut-free proof.
+bound; it exists to probe which sequents have no cut-free proof, and
+the probe reports whether the bound cut the search off.
 """
 
 from __future__ import annotations
@@ -226,13 +227,17 @@ def _backward_steps(seq: GSequent) -> list[tuple[GRule, list[GSequent]]]:
     return out
 
 
-def g_search_cutfree(s: GSequent, depth: int) -> Optional[GProof]:
-    """Exhaustive backward search over the cut-free rules, bounded by
-    tree height.  Monotone in depth: more depth never loses proofs."""
+def _bounded_search(s: GSequent, depth: int) -> tuple[Optional[GProof], bool]:
+    """The bounded search, and whether any branch was cut off at the
+    height bound.  When none was, the whole cut-free search space below
+    s was explored and a miss holds at every height."""
     failed_at: dict[GSequent, int] = {}
+    bound_hit = False
 
     def search(seq: GSequent, budget: int) -> Optional[GProof]:
+        nonlocal bound_hit
         if budget <= 0:
+            bound_hit = True
             return None
         if failed_at.get(seq, -1) >= budget:
             return None
@@ -256,17 +261,32 @@ def g_search_cutfree(s: GSequent, depth: int) -> Optional[GProof]:
             failed_at[seq] = budget
         return None
 
-    return search(s, depth)
+    return search(s, depth), bound_hit
+
+
+def g_search_cutfree(s: GSequent, depth: int) -> Optional[GProof]:
+    """Exhaustive backward search over the cut-free rules, bounded by
+    tree height.  Monotone in depth: more depth never loses proofs."""
+    return _bounded_search(s, depth)[0]
 
 
 @dataclass(frozen=True)
 class ProbeReport:
+    """Outcome of the cut-necessity probe.
+
+    ``bound_hit`` says whether the G search cut some branch off at the
+    height bound; ``exhausted`` says that it found no proof without
+    doing so, so that no cut-free G proof exists at any height.
+    """
+
     alpha: Formula
     depth: int
     valid: bool
     g_cutfree_found: bool
     sc_cutfree_found: bool
     vacuous_bound: bool
+    bound_hit: bool
+    exhausted: bool
 
     def __str__(self) -> str:
         goal = Box(Or(self.alpha, Neg(Box(self.alpha))))
@@ -278,21 +298,29 @@ class ProbeReport:
         ]
         if self.vacuous_bound:
             lines.append("note: height bound is vacuous (no proofs of any kind fit)")
-        lines.append("empirical evidence only: the bounded search does not "
-                     "decide unbounded cut-free provability")
+        if self.exhausted:
+            lines.append("exhaustive: the G search explored every cut-free backward "
+                         "step without reaching the height bound, so no cut-free "
+                         "G proof exists at any height")
+        elif self.bound_hit:
+            lines.append("empirical evidence only: the bounded search does not "
+                         "decide unbounded cut-free provability")
         return "\n".join(lines)
 
 
 def cut_necessity_probe(alpha: Formula, depth: int) -> ProbeReport:
     """Probe => #(a | ~#a): semantically valid and cut-free provable in
     the two-sided calculus, yet no cut-free G proof exists within the
-    height bound."""
+    height bound.  The report says whether that miss is exhaustive or
+    cut off by the bound."""
     goal_formula = Box(Or(alpha, Neg(Box(alpha))))
-    g_found = g_search_cutfree(GSequent.of([], goal_formula), depth) is not None
+    g_proof, bound_hit = _bounded_search(GSequent.of([], goal_formula), depth)
     valid = matrix_consequence([], [goal_formula], M4)
     sc_proof = prove(Sequent.of([], [goal_formula]))
     sc_found = sc_proof is not None and is_cut_free(sc_proof)
-    return ProbeReport(alpha, depth, valid, g_found, sc_found, vacuous_bound=depth <= 0)
+    return ProbeReport(alpha, depth, valid, g_proof is not None, sc_found,
+                       vacuous_bound=depth <= 0, bound_hit=bound_hit,
+                       exhausted=g_proof is None and not bound_hit)
 
 
 # ---------------------------------------------------------------------------

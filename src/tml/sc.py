@@ -4,8 +4,11 @@ The calculus has the axiom a => a, weakening, cut, and sixteen logical
 rules keyed on the shapes |, &, ~|, ~&, ~~, # and ~# on either side.
 Sequents are read as sets and the axiom absorbs weakening, so backward
 search with premises that retain the principal formula saturates inside
-a finite space and is a decision procedure.  Search never emits cut;
-the checker accepts cut only when asked to.
+a finite space and is a decision procedure.  Since every premise
+contains its conclusion, soundness and completeness make every rule
+invertible, and the search applies one rule per sequent without
+backtracking.  Search never emits cut; the checker accepts cut only
+when asked to.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import Algebra, algebra_evaluate, m4_algebra, product_algebra
+from .search import Step, decide
 from .sequents import Sequent, render_sequent
 from .syntax import And, Box, Formula, Neg, Or, Var, formula_key, parse
 
@@ -229,10 +233,11 @@ def check_sc_proof(p: ScProof, allow_cut: bool = False) -> bool:
 # ---------------------------------------------------------------------------
 # Backward proof search.
 #
-# Single-premise decompositions are tried before branching rules; inside a
-# tier, candidates are ordered by principal (size, text) and then by the
-# priority below.  box_l2 precedes box_l1 and neg_box_r1 precedes
-# neg_box_r2; together with the tiers this pins down which proof is found.
+# Every rule is invertible (see tml.search), so the first candidate whose
+# premises all add something decides the sequent.  Candidates are ordered
+# single-premise decompositions first, then by principal (size, text), then
+# by the priority below; box_l2 precedes box_l1 and neg_box_r1 precedes
+# neg_box_r2.  This order pins down which proof is found.
 
 _TIER1 = (ScRule.NEG_NEG_L, ScRule.NEG_NEG_R, ScRule.AND_L, ScRule.OR_R,
           ScRule.NEG_OR_L, ScRule.NEG_AND_R, ScRule.NEG_BOX_R1,
@@ -241,9 +246,6 @@ _TIER2 = (ScRule.OR_L, ScRule.AND_R, ScRule.NEG_OR_R, ScRule.NEG_AND_L,
           ScRule.BOX_R, ScRule.NEG_BOX_L)
 _PRIORITY = {rule: i for i, rule in enumerate(_TIER1 + _TIER2)}
 _TIER = {rule: (1 if rule in _TIER1 else 2) for rule in _TIER1 + _TIER2}
-
-_RULES_LEFT: dict[type, tuple[ScRule, ...]] = {}
-_RULES_RIGHT: dict[type, tuple[ScRule, ...]] = {}
 
 
 def _rules_for(side: str, f: Formula) -> tuple[ScRule, ...]:
@@ -268,13 +270,46 @@ def _rules_for(side: str, f: Formula) -> tuple[ScRule, ...]:
     return ()
 
 
-_MISS = object()
+def _expand(seq: Sequent) -> Optional[Step]:
+    """The one rule application that decides seq: the axiom when its
+    sides share a formula, else the first candidate in the documented
+    order whose premises all differ from seq; None when seq is
+    saturated (every rule application adds nothing)."""
+    common = seq.left & seq.right
+    if common:
+        witness = min(common, key=formula_key)
+        return (), lambda subs: ScProof(ScRule.AXIOM, seq, (witness,))
+    best_key: Optional[tuple] = None
+    best = None
+    for side, pool in (("L", seq.left), ("R", seq.right)):
+        for f in pool:
+            for rule in _rules_for(side, f):
+                key = (_TIER[rule],) + formula_key(f) + (_PRIORITY[rule],)
+                if best_key is not None and key >= best_key:
+                    continue
+                schema = _SCHEMAS[rule]
+                deltas = schema.deltas(schema.parts(f))
+                if any(seq.left.issuperset(dl) and seq.right.issuperset(dr)
+                       for dl, dr in deltas):
+                    continue
+                best_key, best = key, (rule, f, deltas)
+    if best is None:
+        return None
+    rule, pi, deltas = best
+    prems = [Sequent(seq.left.union(dl), seq.right.union(dr)) for dl, dr in deltas]
+    return prems, lambda subs: ScProof(rule, seq, (pi,), subs)
 
 
 def prove(s: Sequent) -> Optional[ScProof]:
     """Cut-free backward search; returns a proof iff the sequent is valid
-    over the four-valued matrix.  Deterministic: the first proof in the
-    documented candidate order is returned.
+    over the four-valued matrix.
+
+    Backtrack-free: every rule is invertible (see the module
+    docstring), so each sequent is decided by the first candidate in the
+    documented order whose premises all differ from it, and no other
+    candidate is tried.  That is also the proof a backtracking search
+    over all candidates in the same order finds first, so the proof is
+    deterministic.
 
     The calculus has no rules for the constant bot (it is definable as
     ~a & #a), so sequents mentioning it are rejected up front rather
@@ -284,55 +319,7 @@ def prove(s: Sequent) -> Optional[ScProof]:
         if any(isinstance(g, Bot) for g in subformulas(f)):
             raise ValueError(
                 "the two-sided calculus has no rules for 'bot'; encode it as ~a & #a")
-    memo: dict[Sequent, Optional[ScProof]] = {}
-
-    def axiom_witness(seq: Sequent) -> Optional[Formula]:
-        common = seq.left & seq.right
-        if not common:
-            return None
-        return min(common, key=formula_key)
-
-    def candidates(seq: Sequent) -> list[tuple[tuple, ScRule, Formula]]:
-        out = []
-        for side, pool in (("L", seq.left), ("R", seq.right)):
-            for f in pool:
-                for rule in _rules_for(side, f):
-                    key = (_TIER[rule],) + formula_key(f) + (_PRIORITY[rule],)
-                    out.append((key, rule, f))
-        out.sort(key=lambda t: t[0])
-        return out
-
-    def search(seq: Sequent) -> Optional[ScProof]:
-        hit = memo.get(seq, _MISS)
-        if hit is not _MISS:
-            return hit
-        witness = axiom_witness(seq)
-        if witness is not None:
-            proof = ScProof(ScRule.AXIOM, seq, (witness,))
-            memo[seq] = proof
-            return proof
-        memo[seq] = None  # premises grow strictly, so recursion cannot revisit seq
-        result: Optional[ScProof] = None
-        for _, rule, pi in candidates(seq):
-            schema = _SCHEMAS[rule]
-            deltas = schema.deltas(schema.parts(pi))
-            prem_seqs = [Sequent(seq.left | frozenset(dl), seq.right | frozenset(dr))
-                         for dl, dr in deltas]
-            if any(ps == seq for ps in prem_seqs):
-                continue
-            subs = []
-            for ps in prem_seqs:
-                sub = search(ps)
-                if sub is None:
-                    break
-                subs.append(sub)
-            else:
-                result = ScProof(rule, seq, (pi,), tuple(subs))
-                break
-        memo[seq] = result
-        return result
-
-    return search(s)
+    return decide(s, _expand)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ a connective and an argument-value tuple: from premises adding sign
 a_i to argument i, conclude the table output sign on the compound.
 For the four-valued instance this yields exactly forty logical rules.
 Bounded data: all rule applications stay inside the subformulas of the
-goal, so memoized backward search terminates.
+goal, so memoized backward search terminates.  Every premise contains
+its conclusion, so by soundness and completeness every rule is
+invertible and backward search never has to backtrack.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .matrix import LogicalMatrix, M4, TruthValue, Valuation, evaluate
+from .search import Step, decide
 from .syntax import And, Box, Formula, Neg, Or, formula_key, parse
 
 __all__ = [
@@ -94,6 +97,34 @@ def generate_sf_rules(m: LogicalMatrix) -> list[SignedRule]:
     return rules
 
 
+class _RuleTable(NamedTuple):
+    by_name: dict[str, SignedRule]
+    # (connective, output sign) -> argument sign tuples, in emission order
+    tuples_for: dict[tuple[str, TruthValue], tuple[tuple[TruthValue, ...], ...]]
+    sign_index: dict[TruthValue, int]
+
+
+# keyed by id(); the entry holds the matrix, so the id cannot be reused
+_RULE_TABLES: dict[int, tuple[LogicalMatrix, _RuleTable]] = {}
+
+
+def _rule_table(m: LogicalMatrix) -> _RuleTable:
+    """The rules of a matrix indexed for checking and search, built once."""
+    hit = _RULE_TABLES.get(id(m))
+    if hit is not None:
+        return hit[1]
+    rules = generate_sf_rules(m)
+    tuples_for: dict[tuple[str, TruthValue], list[tuple[TruthValue, ...]]] = {}
+    for rule in rules:
+        if rule.kind == "logical":
+            tuples_for.setdefault((rule.connective, rule.out_sign), []).append(rule.arg_signs)
+    table = _RuleTable({r.name: r for r in rules},
+                       {k: tuple(v) for k, v in tuples_for.items()},
+                       {v: i for i, v in enumerate(m.values)})
+    _RULE_TABLES[id(m)] = (m, table)
+    return table
+
+
 def nsequent_satisfied(v: Valuation, s: NSequent, m: LogicalMatrix = M4) -> bool:
     """True iff some formula of some component takes that component's value."""
     if len(s.components) != len(m.values):
@@ -150,7 +181,7 @@ def _is_axiom_set(signed: frozenset[SignedFormula], m: LogicalMatrix) -> bool:
 
 def verify_sf_derivation(d: SFDerivation, m: LogicalMatrix = M4) -> None:
     """Raise SFCheckError at the first node that fails its schema."""
-    rules = {r.name: r for r in generate_sf_rules(m)}
+    rules = _rule_table(m).by_name
 
     def visit(node: SFDerivation, path: tuple[int, ...]) -> None:
         if node.rule == "axiom":
@@ -205,74 +236,63 @@ def check_sf_derivation(d: SFDerivation, m: LogicalMatrix = M4) -> bool:
         return False
 
 
+_CONNECTIVE_NAME = {ctor: name for name, ctor in _CONNECTIVE_AST.items()}
+
+
+def _first_step(omega: frozenset[SignedFormula], table: _RuleTable) -> Optional[Step]:
+    """The first (signed formula, sign tuple) pair whose premises all
+    differ from omega, as premise sets and a node builder; None when
+    omega is saturated.  Signed formulas are ordered by sign index, then
+    formula (size, text); sign tuples by emission order."""
+    best_key: Optional[tuple] = None
+    best = None
+    for sf in omega:
+        f = sf.formula
+        conn = _CONNECTIVE_NAME.get(type(f))
+        if conn is None:
+            continue
+        key = (table.sign_index[sf.sign],) + formula_key(f)
+        if best_key is not None and key >= best_key:
+            continue
+        args = (f.child,) if conn in ("neg", "box") else (f.left, f.right)
+        for signs in table.tuples_for.get((conn, sf.sign), ()):
+            if all(SignedFormula(s, a) not in omega for s, a in zip(signs, args)):
+                best_key, best = key, (conn, signs, args)
+                break
+    if best is None:
+        return None
+    conn, signs, args = best
+    name = f"{conn}_{'_'.join(signs)}"
+    prems = [omega | {SignedFormula(s, a)} for s, a in zip(signs, args)]
+    return prems, lambda subs: SFDerivation(name, omega, subs)
+
+
 def sf_prove(goal: Iterable[SignedFormula], m: LogicalMatrix = M4,
              ) -> Optional[SFDerivation]:
     """Backward proof search; succeeds exactly on valid goals.
 
     Premises keep the conclusion's signed set and add one signed
     subformula, so the space is bounded by subformulas x signs and the
-    memoized search terminates.
+    memoized search terminates.  Every rule is invertible (see
+    ``tml.search``), so each set is decided by the first (signed
+    formula, sign tuple) pair in the documented order whose premises all
+    differ from it, and no other pair is tried.  That is also the
+    derivation a backtracking search over all pairs in the same order
+    finds first.
     """
     from .syntax import Bot, subformulas
     goal_set = frozenset(goal)
     for sf in goal_set:
         if any(isinstance(g, Bot) for g in subformulas(sf.formula)):
             raise ValueError("the signed calculus has no decomposition rule for 'bot'")
-    tuples_for: dict[tuple[str, TruthValue], list[tuple[TruthValue, ...]]] = {}
-    for rule in generate_sf_rules(m):
-        if rule.kind == "logical":
-            tuples_for.setdefault((rule.connective, rule.out_sign), []).append(rule.arg_signs)
+    table = _rule_table(m)
 
-    memo: dict[frozenset[SignedFormula], Optional[SFDerivation]] = {}
-    in_progress: set[frozenset[SignedFormula]] = set()
-    sign_index = {v: i for i, v in enumerate(m.values)}
-
-    def candidates(omega: frozenset[SignedFormula]) -> list[SignedFormula]:
-        compounds = [sf for sf in omega
-                     if isinstance(sf.formula, (Neg, Box, And, Or))]
-        compounds.sort(key=lambda sf: (sign_index[sf.sign],) + formula_key(sf.formula))
-        return compounds
-
-    def search(omega: frozenset[SignedFormula]) -> Optional[SFDerivation]:
-        if omega in memo:
-            return memo[omega]
-        if omega in in_progress:
-            return None
+    def expand(omega: frozenset[SignedFormula]) -> Optional[Step]:
         if _is_axiom_set(omega, m):
-            d = SFDerivation("axiom", omega)
-            memo[omega] = d
-            return d
-        in_progress.add(omega)
-        result: Optional[SFDerivation] = None
-        for sf in candidates(omega):
-            f = sf.formula
-            if isinstance(f, (Neg, Box)):
-                conn = "neg" if isinstance(f, Neg) else "box"
-                args: tuple[Formula, ...] = (f.child,)
-            else:
-                conn = "and" if isinstance(f, And) else "or"
-                args = (f.left, f.right)
-            for signs in tuples_for.get((conn, sf.sign), ()):
-                premises = [omega | {SignedFormula(s, a)}
-                            for s, a in zip(signs, args)]
-                if any(p == omega for p in premises):
-                    continue
-                subs = []
-                for p in premises:
-                    sub = search(p)
-                    if sub is None:
-                        break
-                    subs.append(sub)
-                else:
-                    result = SFDerivation(f"{conn}_{'_'.join(signs)}", omega, tuple(subs))
-                    break
-            if result is not None:
-                break
-        in_progress.discard(omega)
-        memo[omega] = result
-        return result
+            return (), lambda subs: SFDerivation("axiom", omega)
+        return _first_step(omega, table)
 
-    return search(goal_set)
+    return decide(goal_set, expand)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,14 @@ class TestBasics:
         assert run(["consequence", "p => #p"]) == 1
         assert run(["consequence", "p & q => p", "--relation", "degree"]) == 0
 
+    def test_internal_failure_exits_2_not_1(self, capsys):
+        # nesting this deep exhausts the recursion limit of the parser;
+        # that must not read as "not valid"
+        assert run(["valid", "~" * 1200 + "p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "not valid" not in captured.out
+
     def test_countermodel_two_arguments(self, capout):
         assert run(["countermodel", "", "p | ~p"]) == 1
         assert capout() == "p=n"
@@ -180,3 +188,5 @@ class TestProbeCut:
         assert doc["valid"] is True
         assert doc["g_cutfree_found"] is False
         assert doc["sc_cutfree_found"] is True
+        assert doc["exhausted"] is True
+        assert doc["bound_hit"] is False

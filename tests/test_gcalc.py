@@ -129,5 +129,17 @@ class TestProbe:
         assert not report.g_cutfree_found
         assert report.vacuous_bound
 
-    def test_report_text_mentions_empirical_nature(self):
-        assert "empirical" in str(cut_necessity_probe(p, 3))
+    def test_exhausted_search_says_so(self):
+        # the only backward step from => #(p | ~#p) leads to => bot, which
+        # has none, so height 3 already covers the whole search space
+        report = cut_necessity_probe(p, 3)
+        assert report.exhausted and not report.bound_hit
+        assert not report.g_cutfree_found
+        text = str(report)
+        assert "exhaustive" in text and "empirical" not in text
+
+    def test_bound_hit_is_reported_as_empirical(self):
+        report = cut_necessity_probe(p, 1)
+        assert report.bound_hit and not report.exhausted
+        text = str(report)
+        assert "empirical" in text and "exhaustive" not in text

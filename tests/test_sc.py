@@ -71,6 +71,15 @@ class TestProver:
         pr = prove(parse_sequent("p & q => q & p"))
         assert pr is not None and check_sc_proof(pr)
 
+    def test_deep_conjunction_chain(self):
+        # the search is iterative, so proof height is not bounded by the
+        # interpreter's recursion limit
+        chain = p
+        for _ in range(1200):
+            chain = And(chain, q)
+        pr = prove(Sequent.of([chain], [p]))
+        assert pr is not None and pr.rule is ScRule.AND_L
+
     def test_agrees_with_oracle(self, small_pool):
         rng = random.Random(99)
         for _ in range(400):

@@ -1,10 +1,14 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tml.matrix import (M4, LogicalMatrix, Operation, matrix_consequence,
-                        valuations)
+from tml.matrix import (M4, LogicalMatrix, Operation, evaluate,
+                        matrix_consequence, valuations)
 from tml.sequents import Sequent, sequent_satisfied
 from tml.signed import (NSequent, SFDerivation, SignedFormula,
                         check_sf_derivation, derivation_from_json,
@@ -136,10 +140,25 @@ def _signed_valid(goal, m=M4):
     for sf in goal:
         vars_ |= variables(sf.formula)
     for v in valuations(vars_, m):
-        from tml.matrix import evaluate
         if not any(evaluate(sf.formula, v, m) == sf.sign for sf in goal):
             return False
     return True
+
+
+_formulas = st.recursive(
+    st.sampled_from([p, q]),
+    lambda sub: st.one_of(
+        sub.map(Neg), sub.map(Box),
+        st.tuples(sub, sub).map(lambda ab: And(*ab)),
+        st.tuples(sub, sub).map(lambda ab: Or(*ab))),
+    max_leaves=4)
+
+# a goal puts each of up to three formulas under an arbitrary non-empty
+# set of signs, so goals reach well beyond embedded two-sided sequents
+_signed_goals = st.lists(
+    st.tuples(_formulas, st.sets(st.sampled_from(M4.values), min_size=1)),
+    max_size=3,
+).map(lambda pairs: frozenset(SignedFormula(s, f) for f, signs in pairs for s in signs))
 
 
 class TestProver:
@@ -173,6 +192,15 @@ class TestProver:
                 proved += 1
                 verify_sf_derivation(d)
         assert checked > 200 and proved > 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(_signed_goals)
+    def test_complete_and_sound_on_random_goals(self, goal):
+        d = sf_prove(goal)
+        assert (d is not None) == _signed_valid(goal), sorted(map(str, goal))
+        if d is not None:
+            assert d.signed == goal
+            verify_sf_derivation(d)
 
     def test_soundness_of_returned_derivations(self):
         f = parse("~(p & q)")
@@ -220,7 +248,6 @@ class TestRuleLocality:
     def test_all_rules_all_valuations(self):
         a, b = Var("a"), Var("b")
         ctx = SignedFormula("0", Var("c"))
-        from tml.matrix import evaluate
         for rule in generate_sf_rules(M4):
             if rule.kind != "logical":
                 continue
@@ -267,6 +294,26 @@ class TestGeneralizedCut:
                 hit += 1
                 assert sf_prove(omega) is not None
         assert hit >= 12
+
+
+# sha256 over the derivation JSON (or null) for each goal of a fixed
+# seeded list.  Recorded from the backtracking search that preceded the
+# backtrack-free one: the two must find the same derivation of every goal.
+SF_GOALS_FINGERPRINT = "8fa1a46748eeba0947f8fde9f36026639387b376098a9213a951254082aaad3f"
+
+
+def test_sf_derivation_fingerprint(small_pool):
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for _ in range(300):
+        fs = rng.sample(small_pool, rng.randrange(1, 4))
+        goal = frozenset(SignedFormula(s, f) for f in fs
+                         for s in rng.sample(M4.values, rng.randrange(1, 4)))
+        d = sf_prove(goal)
+        doc = None if d is None else derivation_to_json(d)
+        h.update(json.dumps(doc, sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == SF_GOALS_FINGERPRINT, h.hexdigest()
 
 
 def test_sf_prove_rejects_bot_goals():
