@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import gcalc, nd, sc, signed, translation
+from . import gcalc, nd, proofs, sc, signed, translation
 from .matrix import (M4, countermodel, degree_consequence, evaluate,
                      load_matrix, matrix_consequence, parse_valuation,
                      render_valuation)
@@ -139,6 +139,12 @@ def _cmd_countermodel(args) -> int:
     return EXIT_NO
 
 
+def _print_proof(proof, fmt: str) -> int:
+    print(json.dumps(proofs.to_json(proof), indent=2) if fmt == "json"
+          else proofs.render(proof))
+    return EXIT_YES
+
+
 def _cmd_prove(args) -> int:
     seq = parse_sequent(args.sequent)
     if args.calculus == "sc":
@@ -146,11 +152,7 @@ def _cmd_prove(args) -> int:
         if proof is None:
             print("not provable")
             return EXIT_NO
-        if args.format == "json":
-            print(json.dumps(sc.proof_to_json(proof), indent=2))
-        else:
-            print(sc.render_proof(proof))
-        return EXIT_YES
+        return _print_proof(proof, args.format)
     if args.calculus == "g":
         if len(seq.right) != 1:
             raise _CliError("the G calculus is single-conclusion")
@@ -159,56 +161,33 @@ def _cmd_prove(args) -> int:
         if proof is None:
             print(f"no cut-free proof within height {args.depth}")
             return EXIT_NO
-        if args.format == "json":
-            print(json.dumps(gcalc.g_proof_to_json(proof), indent=2))
-        else:
-            print(gcalc.render_g_proof(proof))
-        return EXIT_YES
+        return _print_proof(proof, args.format)
     # sf4: embed the two-sided sequent as a 4-sequent goal
     goal = signed.embed_two_sided(seq.left, seq.right, M4).signed_set(M4)
     derivation = signed.sf_prove(goal, M4)
     if derivation is None:
         print("not provable")
         return EXIT_NO
-    if args.format == "json":
-        print(json.dumps(signed.derivation_to_json(derivation), indent=2))
-    else:
-        print(signed.render_sf_derivation(derivation))
-    return EXIT_YES
+    return _print_proof(derivation, args.format)
 
 
 def _cmd_check(args) -> int:
     doc = _load_json(args.file)
-    if args.calculus == "sc":
-        proof = sc.proof_from_json(doc)
-        try:
-            sc.verify_sc_proof(proof, allow_cut=args.allow_cut)
-        except sc.ScCheckError as e:
-            print(f"invalid: {e}")
-            return EXIT_NO
-    elif args.calculus == "g":
-        gp = gcalc.g_proof_from_json(doc)
-        try:
-            gcalc.verify_g_proof(gp, allow_cut=args.allow_cut)
-        except gcalc.GCheckError as e:
-            print(f"invalid: {e}")
-            return EXIT_NO
-    elif args.calculus == "sf4":
-        sf = signed.derivation_from_json(doc)
-        try:
-            signed.verify_sf_derivation(sf, M4)
-        except signed.SFCheckError as e:
-            print(f"invalid: {e}")
-            return EXIT_NO
-    else:
-        ded = nd.nd_from_json(doc)
-        result = nd.check_nd(ded)
-        if not result.ok:
-            print(f"invalid: {result.error}")
-            return EXIT_NO
-        opens = ", ".join(sorted(f.text for f in result.open)) or "(none)"
-        print(f"valid: concludes {result.conclusion.text}; open assumptions: {opens}")
-        return EXIT_YES
+    try:
+        if args.calculus == "sc":
+            sc.verify_sc_proof(sc.proof_from_json(doc), allow_cut=args.allow_cut)
+        elif args.calculus == "g":
+            gcalc.verify_g_proof(gcalc.g_proof_from_json(doc), allow_cut=args.allow_cut)
+        elif args.calculus == "sf4":
+            signed.verify_sf_derivation(signed.derivation_from_json(doc), M4)
+        else:
+            ded = nd.nd_from_json(doc)
+            opens = ", ".join(sorted(f.text for f in nd.verify_nd(ded))) or "(none)"
+            print(f"valid: concludes {ded.conclusion.text}; open assumptions: {opens}")
+            return EXIT_YES
+    except proofs.CheckError as e:
+        print(f"invalid: {e}")
+        return EXIT_NO
     print("valid")
     return EXIT_YES
 

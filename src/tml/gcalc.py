@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 from .matrix import M4, matrix_consequence
+from .proofs import CheckError, from_json, passes, render, to_json, walk
 from .sc import is_cut_free, prove
 from .sequents import Sequent
 from .syntax import And, BOT, Box, Formula, Neg, Or, formula_key, parse
@@ -65,25 +67,35 @@ class GProof:
     sequent: GSequent
     premises: tuple["GProof", ...] = ()
 
+    def json_fields(self) -> dict:
+        return {"rule": self.rule.value,
+                "sequent": {"left": [f.text for f in sorted(self.sequent.left, key=formula_key)],
+                            "right": [self.sequent.right.text]},
+                "premises": []}
+
+    @staticmethod
+    def json_reader(doc: dict) -> Callable[[tuple], "GProof"]:
+        right = doc["sequent"]["right"]
+        if len(right) != 1:
+            raise ValueError("G sequents have exactly one conclusion")
+        seq = GSequent.of([parse(t) for t in doc["sequent"]["left"]], parse(right[0]))
+        rule = GRule(doc["rule"])
+        return lambda premises: GProof(rule, seq, premises)
+
+    def label(self) -> str:
+        return f"{self.sequent}   [{self.rule.value}]"
+
 
 def _modal_axiom_shape(f: Formula) -> bool:
     return (isinstance(f, Or) and isinstance(f.right, Neg)
             and isinstance(f.right.child, Box) and f.right.child.child is f.left)
 
 
-class GCheckError(ValueError):
-    def __init__(self, path: tuple[int, ...], rule: GRule, reason: str):
-        super().__init__(f"node {list(path)} ({rule.value}): {reason}")
-        self.path = path
-        self.rule = rule
-        self.reason = reason
-
-
 def verify_g_proof(p: GProof, allow_cut: bool = False) -> None:
-    def fail(path, rule, reason):
-        raise GCheckError(path, rule, reason)
-
-    def visit(node: GProof, path: tuple[int, ...]) -> None:
+    """Raise CheckError at the first node, in pre-order, that breaks its rule."""
+    for node, path, entering in walk(p):
+        if not entering:
+            continue
         seq = node.sequent
         L, phi = seq.left, seq.right
         prems = [q.sequent for q in node.premises]
@@ -99,7 +111,7 @@ def verify_g_proof(p: GProof, allow_cut: bool = False) -> None:
                   and len(L - prems[0].left) <= 1)
         elif rule is GRule.CUT:
             if not allow_cut:
-                fail(path, rule, "cut is not allowed here")
+                raise CheckError(path, "cut is not allowed here", rule)
             ok = (n == 2 and prems[0].left == L and prems[1].right is phi
                   and prems[1].left == L | {prems[0].right})
         elif rule is GRule.AND_L:
@@ -161,21 +173,10 @@ def verify_g_proof(p: GProof, allow_cut: bool = False) -> None:
                 alpha = phi.left
                 ok = prems[0] == GSequent(L, And(alpha, Neg(alpha)))
         else:  # pragma: no cover
-            fail(path, rule, "unknown rule")
+            raise CheckError(path, "unknown rule", rule)
         if not ok:
-            fail(path, rule, "premises do not instantiate the schema")
-        for i, q in enumerate(node.premises):
-            visit(q, path + (i,))
+            raise CheckError(path, "premises do not instantiate the schema", rule)
 
-    visit(p, ())
-
-
-def check_g_proof(p: GProof, allow_cut: bool = False) -> bool:
-    try:
-        verify_g_proof(p, allow_cut)
-        return True
-    except GCheckError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -324,29 +325,10 @@ def cut_necessity_probe(alpha: Formula, depth: int) -> ProbeReport:
 
 
 # ---------------------------------------------------------------------------
-# Serialization and rendering (mirrors the two-sided proof format).
+# The shared proof-tree routines under this calculus's names.
 
-def g_proof_to_json(p: GProof) -> dict:
-    return {
-        "rule": p.rule.value,
-        "sequent": {
-            "left": [f.text for f in sorted(p.sequent.left, key=formula_key)],
-            "right": [p.sequent.right.text],
-        },
-        "premises": [g_proof_to_json(q) for q in p.premises],
-    }
-
-
-def g_proof_from_json(doc: dict) -> GProof:
-    right = doc["sequent"]["right"]
-    if len(right) != 1:
-        raise ValueError("G sequents have exactly one conclusion")
-    seq = GSequent.of([parse(t) for t in doc["sequent"]["left"]], parse(right[0]))
-    return GProof(GRule(doc["rule"]), seq,
-                  tuple(g_proof_from_json(q) for q in doc.get("premises", [])))
-
-
-def render_g_proof(p: GProof, indent: int = 0) -> str:
-    lines = [render_g_proof(q, indent + 1) for q in p.premises]
-    lines.append(f"{'    ' * indent}{p.sequent}   [{p.rule.value}]")
-    return "\n".join(lines)
+GCheckError = CheckError
+check_g_proof = partial(passes, verify_g_proof)
+g_proof_to_json = to_json
+g_proof_from_json = partial(from_json, node_class=GProof)
+render_g_proof = render

@@ -206,13 +206,7 @@ def matrix_consequence(gamma: Iterable[Formula], delta: Iterable[Formula],
                        m: LogicalMatrix = M4) -> bool:
     """True iff every valuation refutes some premise or accepts some
     conclusion."""
-    gamma = list(gamma)
-    delta = list(delta)
-    for v in valuations(_sequent_vars(gamma, delta), m):
-        if all(satisfies(v, g, m) for g in gamma) and \
-                not any(satisfies(v, d, m) for d in delta):
-            return False
-    return True
+    return countermodel(gamma, delta, m) is None
 
 
 def countermodel(gamma: Iterable[Formula], delta: Iterable[Formula],

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import sc
+from .proofs import CheckError, Path, from_json, render, to_json, walk
 from .sc import ScProof, ScRule
 from .sequents import Sequent
 from .syntax import And, BOT, Box, Formula, Neg, Or, parse
@@ -50,16 +52,31 @@ class NDDeduction:
     marker: Optional[str] = None                       # hyp nodes only
     discharges: tuple[tuple[str, Formula], ...] = ()   # (marker, assumption)
 
+    def json_fields(self) -> dict:
+        doc: dict = {"rule": self.rule, "conclusion": self.conclusion.text}
+        if self.marker is not None:
+            doc["marker"] = self.marker
+        if self.discharges:
+            doc["discharges"] = [{"marker": m, "formula": f.text} for m, f in self.discharges]
+        if self.premises:
+            doc["premises"] = []
+        return doc
+
+    @staticmethod
+    def json_reader(doc: dict) -> Callable[[tuple], "NDDeduction"]:
+        rule, conclusion, marker = doc["rule"], parse(doc["conclusion"]), doc.get("marker")
+        discharges = tuple((e["marker"], parse(e["formula"])) for e in doc.get("discharges", []))
+        return lambda premises: NDDeduction(rule, conclusion, premises, marker, discharges)
+
+    def label(self) -> str:
+        if self.rule == "hyp":
+            return f"[{self.conclusion.text}]^{self.marker}"
+        markers = "".join("," + m for m, _ in self.discharges)
+        return f"{self.conclusion.text}   [{self.rule}{markers}]"
+
 
 def hyp(f: Formula, marker: str) -> NDDeduction:
     return NDDeduction("hyp", f, marker=marker)
-
-
-class NdCheckError(ValueError):
-    def __init__(self, path: tuple[int, ...], reason: str):
-        super().__init__(f"node {list(path)}: {reason}")
-        self.path = path
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -70,25 +87,21 @@ class NdResult:
     error: Optional[str] = None
 
 
-def _shape_error(path, rule):
-    raise NdCheckError(path, f"conclusion/premises do not fit rule {rule!r}")
-
-
-def _check_schema(node: NDDeduction, path: tuple[int, ...]) -> None:
+def _check_schema(node: NDDeduction, path: Path) -> None:
     """Local shape check: arity, marker placement, discharge slots, and
     the premise/conclusion pattern of the rule."""
     r = node.rule
     if r not in ND_RULES:
-        raise NdCheckError(path, f"unknown rule {r!r}")
+        raise CheckError(path, f"unknown rule {r!r}")
     if len(node.premises) != ND_RULES[r]:
-        raise NdCheckError(path, f"rule {r!r} takes {ND_RULES[r]} premise(s)")
+        raise CheckError(path, f"rule {r!r} takes {ND_RULES[r]} premise(s)")
     if r != "hyp" and node.marker is not None:
-        raise NdCheckError(path, "only hypotheses carry a marker")
+        raise CheckError(path, "only hypotheses carry a marker")
     if r in _DISCHARGE_AT:
         if len(node.discharges) != len(_DISCHARGE_AT[r]):
-            raise NdCheckError(path, f"rule {r!r} discharges {len(_DISCHARGE_AT[r])} class(es)")
+            raise CheckError(path, f"rule {r!r} discharges {len(_DISCHARGE_AT[r])} class(es)")
     elif node.discharges:
-        raise NdCheckError(path, f"rule {r!r} does not discharge hypotheses")
+        raise CheckError(path, f"rule {r!r} does not discharge hypotheses")
 
     c = node.conclusion
     prem = [q.conclusion for q in node.premises]
@@ -156,45 +169,52 @@ def _check_schema(node: NDDeduction, path: tuple[int, ...]) -> None:
     elif r == "bot_e":
         ok = prem[0] is BOT
     if not ok:
-        _shape_error(path, r)
+        raise CheckError(path, f"conclusion/premises do not fit rule {r!r}")
 
 
 def verify_nd(d: NDDeduction) -> frozenset[Formula]:
-    """Validate schemas and discharge bookkeeping; return open assumptions."""
-    used_discharge_markers: set[str] = set()
+    """Validate schemas and discharge bookkeeping; return open assumptions.
 
-    def visit(node: NDDeduction, path: tuple[int, ...]) -> dict[str, set[Formula]]:
-        _check_schema(node, path)
+    A node's schema is checked on entry, before its premises; its
+    discharges on exit, once the open hypotheses of its premises are
+    known.  The first failure raises CheckError."""
+    used_discharge_markers: set[str] = set()
+    # the open hypotheses by marker of each finished subtree
+    done: list[dict[str, set[Formula]]] = []
+    for node, path, entering in walk(d):
+        if entering:
+            _check_schema(node, path)
+            continue
         if node.rule == "hyp":
-            return {node.marker: {node.conclusion}}
-        opens: list[dict[str, set[Formula]]] = [
-            visit(q, path + (i,)) for i, q in enumerate(node.premises)]
+            done.append({node.marker: {node.conclusion}})
+            continue
+        start = len(done) - len(node.premises)
+        opens = done[start:]
+        del done[start:]
         for slot, (marker, assumption) in enumerate(node.discharges):
             if marker in used_discharge_markers:
-                raise NdCheckError(path, f"marker {marker!r} discharged twice")
+                raise CheckError(path, f"marker {marker!r} discharged twice")
             used_discharge_markers.add(marker)
             at = _DISCHARGE_AT[node.rule][slot]
             for i, om in enumerate(opens):
                 if i == at:
                     continue
                 if marker in om:
-                    raise NdCheckError(
+                    raise CheckError(
                         path, f"marker {marker!r} is open outside its designated subtree")
             closed = opens[at].pop(marker, set())
             if not closed <= {assumption}:
-                raise NdCheckError(
+                raise CheckError(
                     path, f"marker {marker!r} closes hypotheses other than its class")
         merged: dict[str, set[Formula]] = {}
         for om in opens:
             for marker, fs in om.items():
                 if marker in used_discharge_markers:
-                    raise NdCheckError(
+                    raise CheckError(
                         path, f"marker {marker!r} occurs both open and discharged")
                 merged.setdefault(marker, set()).update(fs)
-        return merged
-
-    opens = visit(d, ())
-    return frozenset(itertools.chain.from_iterable(opens.values()))
+        done.append(merged)
+    return frozenset(itertools.chain.from_iterable(done[0].values()))
 
 
 def check_nd(d: NDDeduction) -> NdResult:
@@ -205,8 +225,7 @@ def check_nd(d: NDDeduction) -> NdResult:
     return NdResult(True, d.conclusion, open_set)
 
 
-def open_assumptions(d: NDDeduction) -> frozenset[Formula]:
-    return verify_nd(d)
+open_assumptions = verify_nd
 
 
 # ---------------------------------------------------------------------------
@@ -947,38 +966,9 @@ def nd_to_sc(d: NDDeduction) -> ScProof:
 
 
 # ---------------------------------------------------------------------------
-# Serialization and rendering.
+# The shared proof-tree routines under this calculus's names.
 
-def nd_to_json(d: NDDeduction) -> dict:
-    doc: dict = {"rule": d.rule, "conclusion": d.conclusion.text}
-    if d.marker is not None:
-        doc["marker"] = d.marker
-    if d.discharges:
-        doc["discharges"] = [{"marker": m, "formula": f.text} for m, f in d.discharges]
-    if d.premises:
-        doc["premises"] = [nd_to_json(q) for q in d.premises]
-    return doc
-
-
-def nd_from_json(doc: dict) -> NDDeduction:
-    return NDDeduction(
-        rule=doc["rule"],
-        conclusion=parse(doc["conclusion"]),
-        premises=tuple(nd_from_json(q) for q in doc.get("premises", [])),
-        marker=doc.get("marker"),
-        discharges=tuple((e["marker"], parse(e["formula"]))
-                         for e in doc.get("discharges", [])),
-    )
-
-
-def render_nd(d: NDDeduction, indent: int = 0) -> str:
-    lines = [render_nd(q, indent + 1) for q in d.premises]
-    pad = "    " * indent
-    if d.rule == "hyp":
-        lines.append(f"{pad}[{d.conclusion.text}]^{d.marker}")
-    else:
-        tag = d.rule
-        if d.discharges:
-            tag += "," + ",".join(m for m, _ in d.discharges)
-        lines.append(f"{pad}{d.conclusion.text}   [{tag}]")
-    return "\n".join(lines)
+NdCheckError = CheckError
+nd_to_json = to_json
+nd_from_json = partial(from_json, node_class=NDDeduction)
+render_nd = render

@@ -1,0 +1,106 @@
+"""Proof trees of all four formats: one walk, one check error, JSON, text.
+
+Each calculus (``tml.sc``, ``tml.gcalc``, ``tml.signed``, ``tml.nd``)
+keeps a frozen node class that knows only itself: ``premises``, a tuple
+of nodes; ``json_fields()``, its JSON object with an empty ``premises``
+list where premises go; the static ``json_reader(doc)``, which reads
+those fields and returns the builder of the node from its premises;
+and ``label()``, its line of text.  The rest is here, all iterative.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter, methodcaller
+from typing import Any, Callable, Iterator, Optional
+
+__all__ = ["Path", "CheckError", "passes", "walk", "to_json", "from_json", "render"]
+
+Path = tuple[int, ...]   # premise indices from the root down to a node
+
+
+class CheckError(ValueError):
+    """The first proof node, at ``path``, that breaks its rule.  The message
+    is ``node [0, 1] (or_l): reason`` when ``rule`` is given, as the
+    two-sided calculus and G do, else ``node [0, 1]: reason``."""
+
+    def __init__(self, path: Path, reason: str, rule: Optional[Any] = None):
+        where = f"node {list(path)}" if rule is None else f"node {list(path)} ({rule.value})"
+        super().__init__(f"{where}: {reason}")
+        self.path = path
+        self.reason = reason
+        self.rule = rule
+
+
+def passes(verify: Callable[..., Any], *args: Any, **kwargs: Any) -> bool:
+    """Whether ``verify(*args, **kwargs)`` returns without a CheckError."""
+    try:
+        verify(*args, **kwargs)
+    except CheckError:
+        return False
+    return True
+
+
+def walk(root: Any, premises: Callable[[Any], Any] = attrgetter("premises"),
+         ) -> Iterator[tuple[Any, Path, bool]]:
+    """Depth-first walk with an explicit stack: yields ``(node, path, True)``
+    on entry to a node, before its premises, and ``(node, path, False)`` on
+    exit, after them, interleaved as the calls and returns of a recursive
+    walk would be.  A subtree shared by several parents is walked once per
+    occurrence."""
+    stack = [(root, (), True)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        event = pop()
+        yield event
+        node, path, entering = event
+        if entering:
+            children = premises(node)
+            if children:
+                push((node, path, False))
+                i = len(children)
+                while i:   # the first premise goes on top
+                    i -= 1
+                    push((children[i], path + (i,), True))
+            else:
+                yield node, path, False
+
+
+def to_json(root: Any) -> dict:
+    """The JSON of a tree, built top-down: each node's object is made on
+    entry and appended to its parent's ``premises``."""
+    docs: list[dict] = []   # the objects from the root to the node entered last
+    for node, path, entering in walk(root):
+        if entering:
+            doc = node.json_fields()
+            del docs[len(path):]
+            if docs:
+                docs[-1]["premises"].append(doc)
+            docs.append(doc)
+    return docs[0]
+
+
+_json_premises = methodcaller("get", "premises", ())
+
+
+def from_json(doc: dict, node_class: Any) -> Any:
+    """The tree of a JSON document.  A node's fields are read on entry,
+    so a bad field is reported before anything below it; the node is
+    built on exit, from its finished premises."""
+    builders: list[Callable[[tuple], Any]] = []
+    done: list[Any] = []
+    for d, _, entering in walk(doc, _json_premises):
+        if entering:
+            builders.append(node_class.json_reader(d))
+        else:
+            start = len(done) - len(_json_premises(d))
+            node = builders.pop()(tuple(done[start:]))
+            del done[start:]
+            done.append(node)
+    return done[0]
+
+
+def render(root: Any) -> str:
+    """Indented text: a line per node, each premise above its conclusion
+    and four spaces further in."""
+    return "\n".join("    " * len(path) + node.label()
+                     for node, path, entering in walk(root) if not entering)

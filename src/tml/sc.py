@@ -16,9 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import Algebra, algebra_evaluate, m4_algebra, product_algebra
+from .proofs import CheckError, from_json, passes, render, to_json, walk
 from .search import Step, decide
 from .sequents import Sequent, render_sequent
 from .syntax import And, Box, Formula, Neg, Or, Var, formula_key, parse
@@ -61,13 +63,33 @@ class ScProof:
     principal: tuple[Formula, ...] = ()
     premises: tuple["ScProof", ...] = ()
 
+    def json_fields(self) -> dict:
+        seq = self.sequent
+        return {"rule": self.rule.value,
+                "sequent": {"left": [f.text for f in sorted(seq.left, key=formula_key)],
+                            "right": [f.text for f in sorted(seq.right, key=formula_key)]},
+                "principal": [f.text for f in self.principal],
+                "premises": []}
+
+    @staticmethod
+    def json_reader(doc: dict) -> Callable[[tuple], "ScProof"]:
+        seq = Sequent.of([parse(t) for t in doc["sequent"]["left"]],
+                         [parse(t) for t in doc["sequent"]["right"]])
+        rule = ScRule(doc["rule"])
+        principal = tuple(parse(t) for t in doc.get("principal", []))
+        return lambda premises: ScProof(rule, seq, principal, premises)
+
+    def label(self) -> str:
+        return f"{render_sequent(self.sequent)}   [{self.rule.value}]"
+
 
 def is_cut_free(p: ScProof) -> bool:
-    return p.rule is not ScRule.CUT and all(is_cut_free(q) for q in p.premises)
+    return all(node.rule is not ScRule.CUT for node, _, entering in walk(p) if entering)
 
 
 def proof_size(p: ScProof) -> int:
-    return 1 + sum(proof_size(q) for q in p.premises)
+    """Number of nodes, counting a shared subproof once per occurrence."""
+    return sum(entering for _, _, entering in walk(p))
 
 
 # ---------------------------------------------------------------------------
@@ -144,28 +166,21 @@ _SCHEMAS: dict[ScRule, _Schema] = {
 }
 
 
-class ScCheckError(ValueError):
-    def __init__(self, path: tuple[int, ...], rule: ScRule, reason: str):
-        super().__init__(f"node {list(path)} ({rule.value}): {reason}")
-        self.path = path
-        self.rule = rule
-        self.reason = reason
-
-
 def verify_sc_proof(p: ScProof, allow_cut: bool = False) -> None:
-    """Raise ScCheckError at the first node violating its rule schema."""
-
-    def visit(node: ScProof, path: tuple[int, ...]) -> None:
+    """Raise CheckError at the first node, in pre-order, that violates
+    its rule schema."""
+    for node, path, entering in walk(p):
+        if not entering:
+            continue
         seq = node.sequent
         if node.rule is ScRule.AXIOM:
             if node.premises:
-                raise ScCheckError(path, node.rule, "axiom must be a leaf")
+                raise CheckError(path, "axiom must be a leaf", node.rule)
             if not (seq.left & seq.right):
-                raise ScCheckError(path, node.rule,
-                                   "left and right sides do not share a formula")
+                raise CheckError(path, "left and right sides do not share a formula", node.rule)
         elif node.rule in (ScRule.WEAK_L, ScRule.WEAK_R):
             if len(node.premises) != 1 or len(node.principal) != 1:
-                raise ScCheckError(path, node.rule, "weakening needs one premise and one principal")
+                raise CheckError(path, "weakening needs one premise and one principal", node.rule)
             (alpha,) = node.principal
             prem = node.premises[0].sequent
             if node.rule is ScRule.WEAK_L:
@@ -175,59 +190,44 @@ def verify_sc_proof(p: ScProof, allow_cut: bool = False) -> None:
                 ok = (alpha in seq.right and prem.left == seq.left
                       and prem.right | {alpha} == seq.right)
             if not ok:
-                raise ScCheckError(path, node.rule, "premise is not the weakened sequent")
+                raise CheckError(path, "premise is not the weakened sequent", node.rule)
         elif node.rule is ScRule.CUT:
             if not allow_cut:
-                raise ScCheckError(path, node.rule, "cut is not allowed here")
+                raise CheckError(path, "cut is not allowed here", node.rule)
             if len(node.premises) != 2 or len(node.principal) != 1:
-                raise ScCheckError(path, node.rule, "cut needs two premises and a cut formula")
+                raise CheckError(path, "cut needs two premises and a cut formula", node.rule)
             (chi,) = node.principal
             p1, p2 = (q.sequent for q in node.premises)
             if not (p1.left == seq.left and p1.right == seq.right | {chi}
                     and p2.left == seq.left | {chi} and p2.right == seq.right):
-                raise ScCheckError(path, node.rule, "premises do not match the cut schema")
+                raise CheckError(path, "premises do not match the cut schema", node.rule)
         else:
             schema = _SCHEMAS[node.rule]
             if len(node.principal) != 1:
-                raise ScCheckError(path, node.rule, "logical rule needs its principal formula")
+                raise CheckError(path, "logical rule needs its principal formula", node.rule)
             (pi,) = node.principal
             pool = seq.left if schema.side == "L" else seq.right
             if pi not in pool:
-                raise ScCheckError(path, node.rule, "principal formula is not in the sequent")
+                raise CheckError(path, "principal formula is not in the sequent", node.rule)
             parts = schema.parts(pi)
             if parts is None:
-                raise ScCheckError(path, node.rule, "principal has the wrong shape")
+                raise CheckError(path, "principal has the wrong shape", node.rule)
             deltas = schema.deltas(parts)
             if len(node.premises) != len(deltas):
-                raise ScCheckError(
-                    path, node.rule,
-                    f"expected {len(deltas)} premise(s), found {len(node.premises)}")
-            base_variants = []
+                raise CheckError(
+                    path, f"expected {len(deltas)} premise(s), found {len(node.premises)}",
+                    node.rule)
             if schema.side == "L":
                 base_variants = [(seq.left - {pi}, seq.right), (seq.left, seq.right)]
             else:
                 base_variants = [(seq.left, seq.right - {pi}), (seq.left, seq.right)]
-            ok = False
             for bl, br in base_variants:
-                want = [Sequent(bl | frozenset(dl), br | frozenset(dr))
-                        for dl, dr in deltas]
+                want = [Sequent(bl | frozenset(dl), br | frozenset(dr)) for dl, dr in deltas]
                 if all(q.sequent == w for q, w in zip(node.premises, want)):
-                    ok = True
                     break
-            if not ok:
-                raise ScCheckError(path, node.rule, "premises do not instantiate the schema")
-        for i, q in enumerate(node.premises):
-            visit(q, path + (i,))
+            else:
+                raise CheckError(path, "premises do not instantiate the schema", node.rule)
 
-    visit(p, ())
-
-
-def check_sc_proof(p: ScProof, allow_cut: bool = False) -> bool:
-    try:
-        verify_sc_proof(p, allow_cut)
-        return True
-    except ScCheckError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -583,30 +583,26 @@ def denecessitate(p: ScProof) -> ScProof:
 
 _G, _D, _A, _B = Var("g"), Var("d"), Var("a"), Var("b")
 
+# the principal shapes of the logical rules, over the letters a and b
+_SHAPES = (Or(_A, _B), And(_A, _B), Neg(Or(_A, _B)), Neg(And(_A, _B)),
+           Neg(Neg(_A)), Box(_A), Neg(Box(_A)))
+
+
+def _instance(schema: _Schema) -> tuple[list[tuple[list, list]], tuple[list, list]]:
+    """A logical rule as (premises, conclusion), each a pair of formula
+    lists: its principal shape over a and b in the contexts g and d."""
+    pi = next(f for f in _SHAPES if schema.parts(f) is not None)
+    premises = [([_G, *dl], [_D, *dr]) for dl, dr in schema.deltas(schema.parts(pi))]
+    conclusion = ([_G, pi], [_D]) if schema.side == "L" else ([_G], [_D, pi])
+    return premises, conclusion
+
+
 _SOUNDNESS_SCHEMA: dict[ScRule, tuple[list[tuple[list, list]], tuple[list, list]]] = {
     ScRule.AXIOM: ([], ([_A], [_A])),
     ScRule.WEAK_L: ([([_G], [_D])], ([_G, _A], [_D])),
     ScRule.WEAK_R: ([([_G], [_D])], ([_G], [_D, _A])),
     ScRule.CUT: ([([_G], [_D, _A]), ([_G, _A], [_D])], ([_G], [_D])),
-    ScRule.OR_L: ([([_G, _A], [_D]), ([_G, _B], [_D])], ([_G, Or(_A, _B)], [_D])),
-    ScRule.OR_R: ([([_G], [_D, _A, _B])], ([_G], [_D, Or(_A, _B)])),
-    ScRule.NEG_OR_L: ([([_G, Neg(_A), Neg(_B)], [_D])], ([_G, Neg(Or(_A, _B))], [_D])),
-    ScRule.NEG_OR_R: ([([_G], [_D, Neg(_A)]), ([_G], [_D, Neg(_B)])],
-                      ([_G], [_D, Neg(Or(_A, _B))])),
-    ScRule.AND_L: ([([_G, _A, _B], [_D])], ([_G, And(_A, _B)], [_D])),
-    ScRule.AND_R: ([([_G], [_D, _A]), ([_G], [_D, _B])], ([_G], [_D, And(_A, _B)])),
-    ScRule.NEG_AND_L: ([([_G, Neg(_A)], [_D]), ([_G, Neg(_B)], [_D])],
-                       ([_G, Neg(And(_A, _B))], [_D])),
-    ScRule.NEG_AND_R: ([([_G], [_D, Neg(_A), Neg(_B)])], ([_G], [_D, Neg(And(_A, _B))])),
-    ScRule.NEG_NEG_L: ([([_G, _A], [_D])], ([_G, Neg(Neg(_A))], [_D])),
-    ScRule.NEG_NEG_R: ([([_G], [_D, _A])], ([_G], [_D, Neg(Neg(_A))])),
-    ScRule.BOX_L1: ([([_G, _A], [_D])], ([_G, Box(_A)], [_D])),
-    ScRule.BOX_L2: ([([_G], [_D, Neg(_A)])], ([_G, Box(_A)], [_D])),
-    ScRule.BOX_R: ([([_G], [_D, _A]), ([_G, Neg(_A)], [_D])], ([_G], [_D, Box(_A)])),
-    ScRule.NEG_BOX_L: ([([_G], [_D, _A]), ([_G, Neg(_A)], [_D])],
-                       ([_G, Neg(Box(_A))], [_D])),
-    ScRule.NEG_BOX_R1: ([([_G, _A], [_D])], ([_G], [_D, Neg(Box(_A))])),
-    ScRule.NEG_BOX_R2: ([([_G], [_D, Neg(_A)])], ([_G], [_D, Neg(Box(_A))])),
+    **{rule: _instance(schema) for rule, schema in _SCHEMAS.items()},
 }
 
 
@@ -656,34 +652,10 @@ def rule_soundness(rule: ScRule) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Serialization and text rendering.
+# The shared proof-tree routines under this calculus's names.
 
-def proof_to_json(p: ScProof) -> dict:
-    return {
-        "rule": p.rule.value,
-        "sequent": {
-            "left": [f.text for f in sorted(p.sequent.left, key=formula_key)],
-            "right": [f.text for f in sorted(p.sequent.right, key=formula_key)],
-        },
-        "principal": [f.text for f in p.principal],
-        "premises": [proof_to_json(q) for q in p.premises],
-    }
-
-
-def proof_from_json(doc: dict) -> ScProof:
-    seq = Sequent.of([parse(t) for t in doc["sequent"]["left"]],
-                     [parse(t) for t in doc["sequent"]["right"]])
-    return ScProof(
-        rule=ScRule(doc["rule"]),
-        sequent=seq,
-        principal=tuple(parse(t) for t in doc.get("principal", [])),
-        premises=tuple(proof_from_json(q) for q in doc.get("premises", [])),
-    )
-
-
-def render_proof(p: ScProof, indent: int = 0) -> str:
-    lines = []
-    for q in p.premises:
-        lines.append(render_proof(q, indent + 1))
-    lines.append(f"{'    ' * indent}{render_sequent(p.sequent)}   [{p.rule.value}]")
-    return "\n".join(lines)
+ScCheckError = CheckError
+check_sc_proof = partial(passes, verify_sc_proof)
+proof_to_json = to_json
+proof_from_json = partial(from_json, node_class=ScProof)
+render_proof = render

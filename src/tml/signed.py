@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .matrix import LogicalMatrix, M4, TruthValue, Valuation, evaluate
+from .proofs import CheckError, from_json, passes, render, to_json, walk
 from .search import Step, decide
 from .syntax import And, Box, Formula, Neg, Or, formula_key, parse
 
@@ -164,12 +166,21 @@ class SFDerivation:
     signed: frozenset[SignedFormula]
     premises: tuple["SFDerivation", ...] = ()
 
+    def _signed_texts(self) -> list[str]:
+        return [str(sf) for sf in sorted(self.signed,
+                                         key=lambda sf: (sf.sign, formula_key(sf.formula)))]
 
-class SFCheckError(ValueError):
-    def __init__(self, path: tuple[int, ...], reason: str):
-        super().__init__(f"node {list(path)}: {reason}")
-        self.path = path
-        self.reason = reason
+    def json_fields(self) -> dict:
+        return {"signed": self._signed_texts(), "rule": self.rule, "premises": []}
+
+    @staticmethod
+    def json_reader(doc: dict) -> Callable[[tuple], "SFDerivation"]:
+        rule = doc["rule"]
+        signed = frozenset(parse_signed(s) for s in doc["signed"])
+        return lambda premises: SFDerivation(rule, signed, premises)
+
+    def label(self) -> str:
+        return f"{{{', '.join(self._signed_texts())}}}   [{self.rule}]"
 
 
 def _is_axiom_set(signed: frozenset[SignedFormula], m: LogicalMatrix) -> bool:
@@ -180,32 +191,30 @@ def _is_axiom_set(signed: frozenset[SignedFormula], m: LogicalMatrix) -> bool:
 
 
 def verify_sf_derivation(d: SFDerivation, m: LogicalMatrix = M4) -> None:
-    """Raise SFCheckError at the first node that fails its schema."""
+    """Raise CheckError at the first node, in pre-order, that fails its schema."""
     rules = _rule_table(m).by_name
-
-    def visit(node: SFDerivation, path: tuple[int, ...]) -> None:
+    for node, path, entering in walk(d):
+        if not entering:
+            continue
         if node.rule == "axiom":
             if node.premises:
-                raise SFCheckError(path, "axiom node must be a leaf")
+                raise CheckError(path, "axiom node must be a leaf")
             if not _is_axiom_set(node.signed, m):
-                raise SFCheckError(path, "no formula carries every sign")
+                raise CheckError(path, "no formula carries every sign")
         elif node.rule == "weaken":
             if len(node.premises) != 1:
-                raise SFCheckError(path, "weakening takes exactly one premise")
+                raise CheckError(path, "weakening takes exactly one premise")
             if not node.premises[0].signed <= node.signed:
-                raise SFCheckError(path, "weakening premise is not a subset")
+                raise CheckError(path, "weakening premise is not a subset")
         else:
             rule = rules.get(node.rule)
             if rule is None or rule.kind != "logical":
-                raise SFCheckError(path, f"unknown rule {node.rule!r}")
+                raise CheckError(path, f"unknown rule {node.rule!r}")
             if len(node.premises) != len(rule.arg_signs):
-                raise SFCheckError(path, "premise count does not match rule arity")
+                raise CheckError(path, "premise count does not match rule arity")
             if not _matches_logical(node, rule):
-                raise SFCheckError(path, f"premises do not instantiate {rule.name}")
-        for i, prem in enumerate(node.premises):
-            visit(prem, path + (i,))
+                raise CheckError(path, f"premises do not instantiate {rule.name}")
 
-    visit(d, ())
 
 
 def _matches_logical(node: SFDerivation, rule: SignedRule) -> bool:
@@ -226,14 +235,6 @@ def _matches_logical(node: SFDerivation, rule: SignedRule) -> bool:
             if all(p.signed == w for p, w in zip(node.premises, want)):
                 return True
     return False
-
-
-def check_sf_derivation(d: SFDerivation, m: LogicalMatrix = M4) -> bool:
-    try:
-        verify_sf_derivation(d, m)
-        return True
-    except SFCheckError:
-        return False
 
 
 _CONNECTIVE_NAME = {ctor: name for name, ctor in _CONNECTIVE_AST.items()}
@@ -296,28 +297,10 @@ def sf_prove(goal: Iterable[SignedFormula], m: LogicalMatrix = M4,
 
 
 # ---------------------------------------------------------------------------
-# JSON format
+# The shared proof-tree routines under this calculus's names.
 
-def derivation_to_json(d: SFDerivation) -> dict:
-    signed = sorted(d.signed, key=lambda sf: (sf.sign, formula_key(sf.formula)))
-    return {
-        "signed": [str(sf) for sf in signed],
-        "rule": d.rule,
-        "premises": [derivation_to_json(p) for p in d.premises],
-    }
-
-
-def derivation_from_json(doc: dict) -> SFDerivation:
-    return SFDerivation(
-        rule=doc["rule"],
-        signed=frozenset(parse_signed(s) for s in doc["signed"]),
-        premises=tuple(derivation_from_json(p) for p in doc.get("premises", [])),
-    )
-
-
-def render_sf_derivation(d: SFDerivation, indent: int = 0) -> str:
-    signed = ", ".join(str(sf) for sf in
-                       sorted(d.signed, key=lambda sf: (sf.sign, formula_key(sf.formula))))
-    lines = [render_sf_derivation(p, indent + 1) for p in d.premises]
-    lines.append(f"{'    ' * indent}{{{signed}}}   [{d.rule}]")
-    return "\n".join(lines)
+SFCheckError = CheckError
+check_sf_derivation = partial(passes, verify_sf_derivation)
+derivation_to_json = to_json
+derivation_from_json = partial(from_json, node_class=SFDerivation)
+render_sf_derivation = render

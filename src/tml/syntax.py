@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "Formula", "Var", "Bot", "Neg", "Box", "And", "Or", "BOT",
     "FormulaTemplate", "SyntaxError_", "parse", "render", "substitute",
-    "closure", "subformulas", "variables", "formula_key", "is_negation",
-    "PLACEHOLDER",
+    "closure", "subformulas", "variables", "formula_key", "PLACEHOLDER",
 ]
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
@@ -156,10 +155,6 @@ class Or(Formula):
             f.prec = _PREC_OR
             cls._pool[(left, right)] = f
         return f
-
-
-def is_negation(f: Formula) -> bool:
-    return isinstance(f, Neg)
 
 
 def formula_key(f: Formula) -> tuple[int, str]:
@@ -428,8 +423,3 @@ def substitute(template: FormulaTemplate, target: Formula) -> Formula:
         return Or(go(f.left), go(f.right))
 
     return go(template.body)
-
-
-def iter_formulas(fs: Iterable[Formula]) -> Iterator[Formula]:
-    """Formulas in deterministic (size, text) order."""
-    return iter(sorted(fs, key=formula_key))

@@ -32,7 +32,7 @@ from tml.matrix import (M4, bundled_m4_path, degree_consequence, load_matrix,
                         matrix_consequence)
 from tml.nd import check_nd, disjunction_of, nd_to_sc, sc_to_nd
 from tml.sc import (check_sc_proof, contrapose, denecessitate, is_cut_free,
-                    necessitate, proof_to_json, prove)
+                    necessitate, proof_to_json, prove, render_proof)
 from tml.sequents import Sequent, parse_sequent, render_sequent
 from tml.signed import NSequent, generate_sf_rules
 from tml.syntax import And, Box, Neg, Or, Var, variables
@@ -241,14 +241,25 @@ def test_criterion_07_cut_freeness(corpus):
 # corpus order.  Recorded from the backtracking prover that preceded the
 # backtrack-free one: the two must find the same proof of every sequent.
 SC_CORPUS_FINGERPRINT = "b4d3a3320c46786333306c1fd349f2c5c832a153dacc706ff2dcf8e9f7b957e6"
+# The same proofs as `tml prove` prints them: the JSON with its key
+# order (no sort_keys) and the text rendering.
+SC_CORPUS_JSON_FINGERPRINT = "d5f3aae834202f45a87153acd228343243645e91b419f700ccb6dbdfb9ef44c6"
+SC_CORPUS_TEXT_FINGERPRINT = "c27ac10b5bb57bb6d00de0e40334248ca3db1bac798e00e72a01d2971c2909b5"
 
 
 def test_sc_proof_fingerprint(corpus):
     h = hashlib.sha256()
+    as_json = hashlib.sha256()
+    as_text = hashlib.sha256()
     for _, proof in corpus["provable"]:
-        h.update(json.dumps(proof_to_json(proof), sort_keys=True).encode())
+        doc = proof_to_json(proof)
+        h.update(json.dumps(doc, sort_keys=True).encode())
         h.update(b"\n")
+        as_json.update(json.dumps(doc, indent=2).encode() + b"\n")
+        as_text.update(render_proof(proof).encode() + b"\n")
     assert h.hexdigest() == SC_CORPUS_FINGERPRINT, h.hexdigest()
+    assert as_json.hexdigest() == SC_CORPUS_JSON_FINGERPRINT, as_json.hexdigest()
+    assert as_text.hexdigest() == SC_CORPUS_TEXT_FINGERPRINT, as_text.hexdigest()
 
 
 def test_criterion_08_golden_derivations():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tml.cli import run
+from tml.matrix import M4
 
 
 @pytest.fixture
@@ -74,6 +75,18 @@ class TestProve:
         assert run(["prove", "--calculus", "sf4", "=> p | ~#p"]) == 0
         assert run(["prove", "--calculus", "sf4", "=> p"]) == 1
 
+    def test_sc_proof_higher_than_the_recursion_limit(self, capsys):
+        # 1101 conjunctions: one and_l step each, a 1102-high proof whose
+        # text (about 20 MB) still prints
+        sequent = ", ".join(f"x{i} & x{i}" for i in range(1100)) + ", z & z => z"
+        assert run(["prove", "--calculus", "sc", sequent]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert len(lines) == 1103 and lines[-1] == ""
+        assert lines[0].startswith("    " * 1101 + "x0, x1, x10, ")
+        assert lines[0].endswith("   [axiom]")
+        assert lines[-2].startswith("x0 & x0, x1 & x1, x10 & x10, ")
+        assert lines[-2].endswith(", z & z => z   [and_l]")
+
     def test_json_output_round_trips_through_check(self, capsys, tmp_path):
         for calculus, sequent in [("sc", "=> #(p | ~#p)"),
                                   ("g", "p & q => p"),
@@ -134,6 +147,52 @@ class TestCheckAndTranslate:
         sc_path = tmp_path / "back.json"
         sc_path.write_text(json.dumps(back))
         assert run(["check", "--calculus", "sc", "--allow-cut", str(sc_path)]) == 0
+
+    def test_check_reports_the_first_bad_node(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from tml import gcalc, nd, sc, signed
+        from tml.sequents import parse_sequent
+        from tml.syntax import And, Or, Var
+        p, q, r = Var("p"), Var("q"), Var("r")
+
+        pr = sc.prove(parse_sequent("p & q => q & p"))
+        and_r = pr.premises[0]
+        bad_leaf = sc.ScProof(sc.ScRule.WEAK_L, and_r.premises[1].sequent, (p,))
+        bad_sc = replace(pr, premises=(replace(and_r, premises=(and_r.premises[0], bad_leaf)),))
+
+        G, GS = gcalc.GRule, gcalc.GSequent
+        pq = frozenset({p, q})
+        bad_g = gcalc.GProof(G.AND_R, GS(pq, And(p, q)), (
+            gcalc.GProof(G.WEAK, GS(pq, p), (gcalc.GProof(G.STRUCT_AX, GS.of([p], p)),)),
+            gcalc.GProof(G.WEAK, GS(pq, q), (gcalc.GProof(G.MODAL_AX, GS.of([q], q)),))))
+
+        seq = parse_sequent("p & q => q")
+        d = signed.sf_prove(signed.embed_two_sided(seq.left, seq.right).signed_set(M4))
+        second = d.premises[1]
+        bad_sf = signed.SFDerivation(d.rule, d.signed, (d.premises[0], signed.SFDerivation(
+            second.rule, second.signed,
+            (second.premises[0], signed.SFDerivation("weaken", second.premises[1].signed)))))
+
+        twice = nd.NDDeduction("or_e", r, (nd.hyp(Or(p, q), "w"), nd.hyp(r, "x"),
+                                           nd.hyp(r, "y")),
+                               discharges=(("u", p), ("u", q)))
+        malformed = nd.NDDeduction("and_e1", q, (nd.hyp(And(p, q), "b"),))
+        bad_nd = nd.NDDeduction("and_i", And(r, q), (twice, malformed))
+
+        for calculus, doc, want in [
+                ("sc", sc.proof_to_json(bad_sc),
+                 "node [0, 1] (weak_l): weakening needs one premise and one principal"),
+                ("g", gcalc.g_proof_to_json(bad_g),
+                 "node [1, 0] (g.modal_ax): premises do not instantiate the schema"),
+                ("sf4", signed.derivation_to_json(bad_sf),
+                 "node [1, 1]: weakening takes exactly one premise"),
+                ("nd", nd.nd_to_json(bad_nd), "node [0]: marker 'u' discharged twice")]:
+            path = tmp_path / f"bad_{calculus}.json"
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run(["check", "--calculus", calculus, str(path)]) == 1, calculus
+            assert capsys.readouterr().out == f"invalid: {want}\n"
 
     def test_necessitate(self, tmp_path, capsys):
         path = self._proof_file(tmp_path, "=> p | ~#p")

@@ -1,8 +1,12 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from tml.gcalc import (GCheckError, GProof, GRule, GSequent, check_g_proof,
                        cut_necessity_probe, g_proof_from_json, g_proof_to_json,
-                       g_search_cutfree, verify_g_proof)
+                       g_search_cutfree, render_g_proof, verify_g_proof)
 from tml.syntax import And, Box, Neg, Var, parse
 
 p, q = Var("p"), Var("q")
@@ -55,6 +59,20 @@ class TestChecker:
         with pytest.raises(GCheckError) as exc:
             verify_g_proof(node, allow_cut=False)
         assert "cut" in str(exc.value)
+
+    def test_error_at_non_root_path(self):
+        # p, q => p & q by and_r over two weakenings; the second weakening
+        # rests on a node that is not a modal axiom
+        pq = frozenset({p, q})
+        left = GProof(GRule.WEAK, GSequent(pq, p), (GProof(GRule.STRUCT_AX, GSequent.of([p], p)),))
+        right = GProof(GRule.WEAK, GSequent(pq, q), (GProof(GRule.MODAL_AX, GSequent.of([q], q)),))
+        bad = GProof(GRule.AND_R, GSequent(pq, And(p, q)), (left, right))
+        with pytest.raises(GCheckError) as exc:
+            verify_g_proof(bad)
+        assert exc.value.path == (1, 0)
+        assert exc.value.rule is GRule.MODAL_AX
+        assert str(exc.value) == (
+            "node [1, 0] (g.modal_ax): premises do not instantiate the schema")
 
     def test_json_roundtrip(self):
         pr = g_search_cutfree(GSequent.of([parse("p & q")], p), 4)
@@ -143,3 +161,26 @@ class TestProbe:
         assert report.bound_hit and not report.exhausted
         text = str(report)
         assert "empirical" in text and "exhaustive" not in text
+
+
+# sha256 over the JSON (as `tml prove --calculus g --format json` prints
+# it, key order included) and the text rendering of the proofs found for
+# a fixed seeded list of single-conclusion sequents.
+G_PROOFS_FINGERPRINT = "0003bbe3185d77485767663f09290620e5a745db99c82a0d3c652a92b12fe5ae"
+
+
+def test_g_proof_fingerprint(small_pool):
+    rng = random.Random(11)
+    h = hashlib.sha256()
+    found = 0
+    for _ in range(400):
+        goal = GSequent.of(rng.sample(small_pool, rng.randrange(0, 3)),
+                           rng.choice(small_pool))
+        pr = g_search_cutfree(goal, 8)
+        if pr is None:
+            continue
+        found += 1
+        h.update(json.dumps(g_proof_to_json(pr), indent=2).encode() + b"\n")
+        h.update(render_g_proof(pr).encode() + b"\n")
+    assert found > 50
+    assert h.hexdigest() == G_PROOFS_FINGERPRINT, h.hexdigest()

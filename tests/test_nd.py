@@ -1,12 +1,15 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from tml.matrix import degree_consequence, matrix_consequence
-from tml.nd import (NDDeduction, NdTranslationError, check_nd,
+from tml.nd import (NDDeduction, NdCheckError, NdTranslationError, check_nd,
                     collapse_boxed_contradiction, disjunction_of,
                     distribute_join_over_meet, hyp, nd_from_json, nd_to_json,
-                    nd_to_sc, open_assumptions, render_nd, sc_to_nd, _Markers)
+                    nd_to_sc, open_assumptions, render_nd, sc_to_nd, verify_nd,
+                    _Markers)
 from tml.sc import check_sc_proof, prove
 from tml.sequents import Sequent, parse_sequent
 from tml.syntax import And, BOT, Box, Neg, Or, Var, parse
@@ -117,6 +120,35 @@ class TestCheck:
                            discharges=(("u", p), ("v", q)))
         res = check_nd(node)
         assert not res.ok
+
+    def test_error_at_non_root_path(self):
+        bad_leaf = NDDeduction("and_e1", q, (hyp(And(p, q), "b"),))
+        d = NDDeduction("or_i1", Or(And(p, q), r),
+                        (NDDeduction("and_i", And(p, q), (hyp(p, "a"), bad_leaf)),))
+        with pytest.raises(NdCheckError) as exc:
+            verify_nd(d)
+        assert exc.value.path == (0, 1)
+        assert str(exc.value) == "node [0, 1]: conclusion/premises do not fit rule 'and_e1'"
+        assert check_nd(d).error == str(exc.value)
+
+    def test_first_error_order(self):
+        # discharge bookkeeping runs after a node's premises and before
+        # its next sibling: the twice-discharged marker in premise 0 is
+        # reported before the malformed premise 1
+        twice = NDDeduction("or_e", r, (hyp(Or(p, q), "w"), hyp(r, "x"), hyp(r, "y")),
+                            discharges=(("u", p), ("u", q)))
+        malformed = NDDeduction("and_e1", q, (hyp(And(p, q), "b"),))
+        d = NDDeduction("and_i", And(r, q), (twice, malformed))
+        assert check_nd(d).error == "node [0]: marker 'u' discharged twice"
+        # and a node's own bookkeeping runs after every check below it
+        clash = NDDeduction("and_i", And(r, q), (twice, hyp(q, "u")))
+        d = NDDeduction("and_i", And(And(r, q), q), (clash, malformed))
+        assert check_nd(d).error == "node [0, 0]: marker 'u' discharged twice"
+        malformed_r = NDDeduction("and_e1", r, (hyp(And(p, q), "b"),))
+        d = NDDeduction("or_e", r, (hyp(Or(p, q), "w"), malformed_r, hyp(r, "y")),
+                        discharges=(("u", p), ("u", q)))
+        assert check_nd(d).error == (
+            "node [1]: conclusion/premises do not fit rule 'and_e1'")
 
     def test_json_roundtrip(self):
         d = sc_to_nd(prove(parse_sequent("p | q => q | p")))
@@ -299,3 +331,27 @@ class TestRendering:
         text = render_nd(d)
         assert "[p]^" in text or "[q]^" in text
         assert "or_e" in text
+
+
+# sha256 over the JSON (as `tml translate sc2nd` prints it, key order
+# included) and the text rendering of the deductions that sc_to_nd makes
+# from the proofs of a fixed seeded list of sequents.
+ND_DEDUCTIONS_FINGERPRINT = "0c0646cc148738762e4177f34748f6505bb73b8b9c40edc8963eaf3ab0bd8da7"
+
+
+def test_nd_deduction_fingerprint(small_pool):
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    done = 0
+    for _ in range(200):
+        seq = Sequent.of(rng.sample(small_pool, rng.randrange(0, 3)),
+                         rng.sample(small_pool, rng.randrange(1, 3)))
+        pr = prove(seq)
+        if pr is None:
+            continue
+        done += 1
+        d = sc_to_nd(pr)
+        h.update(json.dumps(nd_to_json(d), indent=2).encode() + b"\n")
+        h.update(render_nd(d).encode() + b"\n")
+    assert done > 50
+    assert h.hexdigest() == ND_DEDUCTIONS_FINGERPRINT, h.hexdigest()

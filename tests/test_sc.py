@@ -1,13 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from tml.matrix import matrix_consequence
 from tml.sc import (ScCheckError, ScProof, ScRule, check_sc_proof, contrapose,
                     denecessitate, falsum_proof, is_cut_free, necessitate,
-                    proof_from_json, proof_to_json, prove, render_proof,
-                    rule_soundness, schema_counterexample, verify_sc_proof,
-                    weaken, axiom)
+                    proof_from_json, proof_size, proof_to_json, prove,
+                    render_proof, rule_soundness, schema_counterexample,
+                    verify_sc_proof, weaken, axiom)
 from tml.sequents import Sequent, parse_sequent
 from tml.syntax import And, Box, Neg, Var, parse
 
@@ -51,6 +52,18 @@ class TestChecker:
         pr = prove(parse_sequent("p & q => q & p"))
         assert proof_from_json(proof_to_json(pr)) == pr
 
+    def test_error_at_non_root_path(self):
+        pr = prove(parse_sequent("p & q => q & p"))
+        and_r = pr.premises[0]
+        bad_leaf = ScProof(ScRule.WEAK_L, and_r.premises[1].sequent, (p,))
+        bad = replace(pr, premises=(replace(and_r, premises=(and_r.premises[0], bad_leaf)),))
+        with pytest.raises(ScCheckError) as exc:
+            verify_sc_proof(bad)
+        assert exc.value.path == (0, 1)
+        assert exc.value.rule is ScRule.WEAK_L
+        assert str(exc.value) == (
+            "node [0, 1] (weak_l): weakening needs one premise and one principal")
+
     def test_weakening_nodes_accepted(self):
         pr = weaken(axiom([p], [p]), [p, q], [p, Box(q)])
         verify_sc_proof(pr)
@@ -79,6 +92,10 @@ class TestProver:
             chain = And(chain, q)
         pr = prove(Sequent.of([chain], [p]))
         assert pr is not None and pr.rule is ScRule.AND_L
+        # nor are the walks over the 1201-high proof
+        verify_sc_proof(pr)
+        assert proof_size(pr) == 1201
+        assert is_cut_free(pr)
 
     def test_agrees_with_oracle(self, small_pool):
         rng = random.Random(99)
@@ -223,6 +240,21 @@ class TestRendering:
         text = render_proof(pr)
         assert "[or_r]" in text and "[axiom]" in text
         assert "=> p | ~#p" in text
+
+    def test_deep_proof_renders_and_round_trips(self):
+        # 1200 weakenings over an axiom: higher than the recursion limit,
+        # with lines short enough to print (each line of the rendered
+        # conjunction chain above holds every prefix of the chain)
+        names = [Var(f"x{i}") for i in range(1200)]
+        pr = weaken(axiom([p], [p]), [p, *names], [p])
+        verify_sc_proof(pr)
+        text = render_proof(pr)
+        lines = text.split("\n")
+        assert len(lines) == 1201
+        assert lines[0] == "    " * 1200 + "p => p   [axiom]"
+        assert lines[-1].startswith("p, x0, x1, x10, ")
+        assert lines[-1].endswith(" => p   [weak_l]")
+        assert render_proof(proof_from_json(proof_to_json(pr))) == text
 
 
 class TestFalsumRejection:

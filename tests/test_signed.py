@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from tml.matrix import (M4, LogicalMatrix, Operation, evaluate,
                         matrix_consequence, valuations)
 from tml.sequents import Sequent, sequent_satisfied
-from tml.signed import (NSequent, SFDerivation, SignedFormula,
+from tml.signed import (NSequent, SFCheckError, SFDerivation, SignedFormula,
                         check_sf_derivation, derivation_from_json,
                         derivation_to_json, embed_two_sided,
-                        generate_sf_rules, nsequent_satisfied, sf_prove,
-                        verify_sf_derivation)
+                        generate_sf_rules, nsequent_satisfied,
+                        render_sf_derivation, sf_prove, verify_sf_derivation)
 from tml.syntax import And, Box, Neg, Or, Var, closure, parse, variables
 
 p, q = Var("p"), Var("q")
@@ -127,6 +127,18 @@ class TestChecker:
         assert check_sf_derivation(node)
         bad = SFDerivation("weaken", small, (SFDerivation("axiom", big),))
         assert not check_sf_derivation(bad)
+
+    def test_error_at_non_root_path(self):
+        d = sf_prove(embed_two_sided([parse("p & q")], [q]).signed_set(M4))
+        second = d.premises[1]
+        bad_leaf = SFDerivation("weaken", second.premises[1].signed)
+        bad = SFDerivation(d.rule, d.signed, (
+            d.premises[0],
+            SFDerivation(second.rule, second.signed, (second.premises[0], bad_leaf))))
+        with pytest.raises(SFCheckError) as exc:
+            verify_sf_derivation(bad)
+        assert exc.value.path == (1, 1)
+        assert str(exc.value) == "node [1, 1]: weakening takes exactly one premise"
 
     def test_json_roundtrip(self):
         goal = {SignedFormula("b", parse("p | ~#p")), SignedFormula("1", parse("p | ~#p"))}
@@ -300,11 +312,17 @@ class TestGeneralizedCut:
 # seeded list.  Recorded from the backtracking search that preceded the
 # backtrack-free one: the two must find the same derivation of every goal.
 SF_GOALS_FINGERPRINT = "8fa1a46748eeba0947f8fde9f36026639387b376098a9213a951254082aaad3f"
+# The same derivations as `tml prove --calculus sf4` prints them: the
+# JSON with its key order (no sort_keys) and the text rendering.
+SF_GOALS_JSON_FINGERPRINT = "65ca832035e706639fee8ec8a784cc088cf6ac69b92f9bd9e135fa3ea8582e8e"
+SF_GOALS_TEXT_FINGERPRINT = "8668f9172b664310f7b7cdf6f3a214227e803a08257c6aecf8c1983e61de8519"
 
 
 def test_sf_derivation_fingerprint(small_pool):
     rng = random.Random(7)
     h = hashlib.sha256()
+    as_json = hashlib.sha256()
+    as_text = hashlib.sha256()
     for _ in range(300):
         fs = rng.sample(small_pool, rng.randrange(1, 4))
         goal = frozenset(SignedFormula(s, f) for f in fs
@@ -313,7 +331,12 @@ def test_sf_derivation_fingerprint(small_pool):
         doc = None if d is None else derivation_to_json(d)
         h.update(json.dumps(doc, sort_keys=True).encode())
         h.update(b"\n")
+        as_json.update(json.dumps(doc, indent=2).encode() + b"\n")
+        if d is not None:
+            as_text.update(render_sf_derivation(d).encode() + b"\n")
     assert h.hexdigest() == SF_GOALS_FINGERPRINT, h.hexdigest()
+    assert as_json.hexdigest() == SF_GOALS_JSON_FINGERPRINT, as_json.hexdigest()
+    assert as_text.hexdigest() == SF_GOALS_TEXT_FINGERPRINT, as_text.hexdigest()
 
 
 def test_sf_prove_rejects_bot_goals():
