@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Mapping, Optional
 
 from .matrix import M4, LogicalMatrix
@@ -42,6 +43,22 @@ class Algebra:
 
     def leq(self, a: Element, b: Element) -> bool:
         return self.meet[(a, b)] == a
+
+    def tables(self) -> dict[str, tuple[int, ...]]:
+        """The operations as flat index tables into the carrier, the form
+        ``LogicalMatrix.tables`` gives the value-plane kernel; built on
+        first use."""
+        return self._tables
+
+    @cached_property
+    def _tables(self) -> dict[str, tuple[int, ...]]:
+        idx = {e: i for i, e in enumerate(self.carrier)}
+        pairs = list(itertools.product(self.carrier, repeat=2))
+        return {"and": tuple(idx[self.meet[p]] for p in pairs),
+                "or": tuple(idx[self.join[p]] for p in pairs),
+                "neg": tuple(idx[self.neg[e]] for e in self.carrier),
+                "box": tuple(idx[self.box[e]] for e in self.carrier),
+                "bot": (idx[self.zero],)}
 
 
 def m4_algebra(m: LogicalMatrix = M4) -> Algebra:

@@ -100,6 +100,24 @@ class LogicalMatrix:
             raise ValueError("matrix order has no unique top element")
         return tops[0]
 
+    def tables(self) -> dict[str, tuple[int, ...]]:
+        """The connectives of the syntax as flat index tables for
+        ``_value_planes`` (entry ``a*n + b`` for arguments a, b), built
+        on first use."""
+        hit = _TABLES.get(id(self))
+        if hit is None:
+            idx = {v: i for i, v in enumerate(self.values)}
+            hit = _TABLES[id(self)] = (self, {
+                name: tuple(idx[op.table[args]]
+                            for args in itertools.product(self.values, repeat=op.arity))
+                for name, op in self.ops.items() if op.arity == _ARITY.get(name)})
+        return hit[1]
+
+
+# keyed by id(); the entry holds the matrix, so the id cannot be reused.
+# Not an attribute: one set late on M4 slows every attribute load of it.
+_TABLES: dict[int, tuple[LogicalMatrix, dict[str, tuple[int, ...]]]] = {}
+
 
 def _order_closure(pairs: Iterable[tuple[str, str]], values: Sequence[str]) -> frozenset[tuple[str, str]]:
     rel = {(v, v) for v in values}
@@ -152,26 +170,58 @@ def _build_m4() -> LogicalMatrix:
 M4 = _build_m4()
 
 
+# the connective of each compound node type, by its name in a matrix
+_CONNECTIVE = {Bot: "bot", Neg: "neg", Box: "box", And: "and", Or: "or"}
+_ARITY = {"bot": 0, "neg": 1, "box": 1, "and": 2, "or": 2}
+
+
 def evaluate(f: Formula, v: Valuation, m: LogicalMatrix = M4) -> TruthValue:
-    """Homomorphic extension of the valuation to the formula."""
-    if isinstance(f, Var):
-        try:
-            val = v[f.name]
-        except KeyError:
-            raise MissingVariableError(f.name) from None
-        if val not in m.values:
-            raise ValueError(f"{val!r} is not a value of the matrix")
-        return val
-    if isinstance(f, Bot):
-        return _op(m, "bot")()
-    if isinstance(f, Neg):
-        return _op(m, "neg")(evaluate(f.child, v, m))
-    if isinstance(f, Box):
-        return _op(m, "box")(evaluate(f.child, v, m))
-    if isinstance(f, And):
-        return _op(m, "and")(evaluate(f.left, v, m), evaluate(f.right, v, m))
-    assert isinstance(f, Or)
-    return _op(m, "or")(evaluate(f.left, v, m), evaluate(f.right, v, m))
+    """Homomorphic extension of the valuation to the formula.
+
+    Iterative, so nesting depth is not bounded by the recursion limit:
+    descend the left spine entering each node, then ascend applying
+    tables, descending again into each pending right child.  Nodes are
+    entered in the recursive definition's order, so a missing variable
+    or connective raises the same error."""
+    ops, values = m.ops, m.values
+    # (operation, pending right child | (left value,) | None for unary)
+    stack: list[tuple[Operation, object]] = []
+    g = f
+    while True:
+        t = type(g)
+        while t is not Var and t is not Bot:
+            name = _CONNECTIVE[t]
+            op = ops.get(name)
+            if op is None:
+                raise UnknownConnectiveError(name)
+            if t is And or t is Or:
+                stack.append((op, g.right))
+                g = g.left
+            else:
+                stack.append((op, None))
+                g = g.child
+            t = type(g)
+        if t is Var:
+            try:
+                val = v[g.name]
+            except KeyError:
+                raise MissingVariableError(g.name) from None
+            if val not in values:
+                raise ValueError(f"{val!r} is not a value of the matrix")
+        else:
+            val = _op(m, "bot")()
+        while stack:
+            op, right = stack.pop()
+            if right is None:
+                val = op.table[(val,)]
+            elif type(right) is tuple:
+                val = op.table[(right[0], val)]
+            else:
+                stack.append((op, (val,)))
+                g = right
+                break
+        else:
+            return val
 
 
 def _op(m: LogicalMatrix, name: str) -> Operation:
@@ -202,6 +252,138 @@ def _sequent_vars(gamma: Iterable[Formula], delta: Iterable[Formula]) -> set[str
     return vs
 
 
+# ---------------------------------------------------------------------------
+# Value planes: a formula under every valuation at once.
+#
+# Valuation j of ``valuations(names)`` is the number whose base-n digits
+# are the value indices of the names, the first name most significant.
+# The value planes of a formula are n ints, one per value: bit j of
+# plane i is set when the formula takes value i under valuation j.  The
+# planes are one-hot, every bit is set in exactly one of them, and a
+# connective maps them through its index table with bitwise & and |.
+
+def _apply1(table: Sequence[int], x: Sequence[int]) -> list[int]:
+    out = [0] * len(x)
+    for a, xa in enumerate(x):
+        if xa:
+            out[table[a]] |= xa
+    return out
+
+
+def _apply2(table: Sequence[int], x: Sequence[int], y: Sequence[int]) -> list[int]:
+    n = len(x)
+    out = [0] * n
+    for a, xa in enumerate(x):
+        if xa:
+            for b, yb in enumerate(y, a * n):
+                w = xa & yb
+                if w:
+                    out[table[b]] |= w
+    return out
+
+
+def _constant(i: int, n: int, full: int) -> list[int]:
+    out = [0] * n
+    out[i] = full
+    return out
+
+
+def _value_planes(formulas: Sequence[Formula], names: Sequence[str],
+                  values: Sequence, tables: Mapping[str, Sequence[int]]) -> list[tuple[int, ...]]:
+    """The value planes of each formula over all valuations of ``names``
+    (sorted) into ``values``, under index tables as built by
+    ``LogicalMatrix.tables``.  Iterative post-order over the interned
+    formula DAG, each node once per call."""
+    n, k = len(values), len(names)
+    size = n ** k
+    full = (1 << size) - 1
+    planes: dict[Formula, tuple[int, ...]] = {}
+    for i, name in enumerate(names):
+        # digit i of j counts runs of `step` bits, n runs to a period:
+        # value 0 on the first run of each period, value a a runs later.
+        # Built by doubling; dividing full by a repunit is quadratic.
+        step = n ** (k - 1 - i)
+        low, width = (1 << step) - 1, step * n
+        while width < size:
+            low |= low << width
+            width *= 2
+        low &= full
+        planes[Var(name)] = tuple([low << a * step for a in range(n)])
+    for root in formulas:
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            if f in planes:
+                stack.pop()
+                continue
+            t = type(f)
+            if t is Var:
+                raise MissingVariableError(f.name)
+            name = _CONNECTIVE[t]
+            table = tables.get(name)
+            if table is None:
+                raise UnknownConnectiveError(name)
+            if t is Bot:
+                out = _constant(table[0], n, full)
+            elif t is Neg or t is Box:
+                x = planes.get(f.child)
+                if x is None:
+                    stack.append(f.child)
+                    continue
+                out = _apply1(table, x)
+            else:
+                x, y = planes.get(f.left), planes.get(f.right)
+                if x is None or y is None:
+                    if y is None:
+                        stack.append(f.right)
+                    if x is None:
+                        stack.append(f.left)
+                    continue
+                out = _apply2(table, x, y)
+            stack.pop()
+            planes[f] = tuple(out)
+    return [planes[f] for f in formulas]
+
+
+def _first_valuation(mask: int, names: Sequence[str], values: Sequence) -> dict:
+    """The valuation of the lowest set bit of a non-empty mask, its keys
+    in the order of ``names``."""
+    j = (mask & -mask).bit_length() - 1
+    digits = []
+    for _ in names:
+        j, d = divmod(j, len(values))
+        digits.append(values[d])
+    return dict(zip(names, reversed(digits)))
+
+
+def _refuting(gamma: Sequence[Sequence[int]], delta: Sequence[Sequence[int]],
+              m: LogicalMatrix, full: int) -> int:
+    """The valuations that designate every formula of gamma and none of
+    delta, from their value planes."""
+    designated = [i for i, v in enumerate(m.values) if v in m.designated]
+    mask = full
+    for x in gamma:
+        mask &= _union(x, designated)
+    for x in delta:
+        mask &= ~_union(x, designated)
+    return mask
+
+
+def _union(x: Sequence[int], indices: Iterable[int]) -> int:
+    out = 0
+    for i in indices:
+        out |= x[i]
+    return out
+
+
+def _leq_mask(x: Sequence[int], y: Sequence[int], leq: Iterable[tuple[int, int]]) -> int:
+    """The valuations where x is below y, for the index pairs of an order."""
+    out = 0
+    for a, b in leq:
+        out |= x[a] & y[b]
+    return out
+
+
 def matrix_consequence(gamma: Iterable[Formula], delta: Iterable[Formula],
                        m: LogicalMatrix = M4) -> bool:
     """True iff every valuation refutes some premise or accepts some
@@ -212,13 +394,14 @@ def matrix_consequence(gamma: Iterable[Formula], delta: Iterable[Formula],
 def countermodel(gamma: Iterable[Formula], delta: Iterable[Formula],
                  m: LogicalMatrix = M4) -> Optional[dict[str, TruthValue]]:
     """First refuting valuation in enumeration order, or None."""
-    gamma = list(gamma)
-    delta = list(delta)
-    for v in valuations(_sequent_vars(gamma, delta), m):
-        if all(satisfies(v, g, m) for g in gamma) and \
-                not any(satisfies(v, d, m) for d in delta):
-            return v
-    return None
+    gamma, delta = list(gamma), list(delta)
+    names = sorted(_sequent_vars(gamma, delta))
+    planes = _value_planes(gamma + delta, names, m.values, m.tables())
+    full = (1 << len(m.values) ** len(names)) - 1
+    mask = _refuting(planes[:len(gamma)], planes[len(gamma):], m, full)
+    if not mask:
+        return None
+    return _first_valuation(mask, names, m.values)
 
 
 def degree_consequence(gamma: Iterable[Formula], phi: Formula,
@@ -226,16 +409,19 @@ def degree_consequence(gamma: Iterable[Formula], phi: Formula,
     """Degree-preserving consequence: under every valuation the meet of
     the premise values is below the conclusion value.  Empty premises
     require the conclusion to take the top value everywhere."""
-    gamma = list(gamma)
-    meet = _op(m, "and")
-    top = m.top()
-    for v in valuations(_sequent_vars(gamma, [phi]), m):
-        bound = top
-        for g in gamma:
-            bound = meet(bound, evaluate(g, v, m))
-        if not m.leq(bound, evaluate(phi, v, m)):
-            return False
-    return True
+    gamma, tables = list(gamma), m.tables()
+    if "and" not in tables:
+        raise UnknownConnectiveError("and")
+    top = m.index(m.top())
+    names = sorted(_sequent_vars(gamma, [phi]))
+    *premises, conclusion = _value_planes(gamma + [phi], names, m.values, tables)
+    n = len(m.values)
+    full = (1 << n ** len(names)) - 1
+    bound = _constant(top, n, full)
+    for x in premises:
+        bound = _apply2(tables["and"], bound, x)
+    leq = [(m.index(a), m.index(b)) for a, b in m.order]
+    return _leq_mask(bound, conclusion, leq) == full
 
 
 # ---------------------------------------------------------------------------

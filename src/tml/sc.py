@@ -16,10 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import Algebra, algebra_evaluate, m4_algebra, product_algebra
+from .algebra import Algebra, m4_algebra, product_algebra
+from .matrix import (_apply2, _constant, _first_valuation, _leq_mask,
+                     _value_planes)
 from .proofs import CheckError, from_json, passes, render, to_json, walk
 from .search import Step, decide
 from .sequents import Sequent, render_sequent
@@ -615,32 +617,46 @@ def _schema_vars(premises, conclusion) -> list[str]:
     return sorted(names)
 
 
+@cache
+def _default_algebras() -> tuple[Algebra, Algebra]:
+    base = m4_algebra()
+    return base, product_algebra(base, base)
+
+
 def schema_counterexample(premises: list[tuple[list, list]],
                           conclusion: tuple[list, list],
                           algebras: Optional[Sequence[Algebra]] = None,
                           ) -> Optional[dict]:
-    """Search all assignments for one where every premise inequality
-    meet(left) <= join(right) holds but the conclusion's fails."""
+    """The first assignment, algebra by algebra in enumeration order,
+    where every premise inequality meet(left) <= join(right) holds but
+    the conclusion's fails; all assignments of an algebra at once."""
     if algebras is None:
-        base = m4_algebra()
-        algebras = (base, product_algebra(base, base))
+        algebras = _default_algebras()
     names = _schema_vars(premises, conclusion)
-
-    def holds(alg: Algebra, assign: dict, left: list, right: list) -> bool:
-        lo = alg.one
-        for f in left:
-            lo = alg.meet[(lo, algebra_evaluate(f, assign, alg))]
-        hi = alg.zero
-        for f in right:
-            hi = alg.join[(hi, algebra_evaluate(f, assign, alg))]
-        return alg.leq(lo, hi)
-
+    formulas = [f for left, right in [*premises, conclusion]
+                for f in itertools.chain(left, right)]
     for alg in algebras:
-        for combo in itertools.product(alg.carrier, repeat=len(names)):
-            assign = dict(zip(names, combo))
-            if all(holds(alg, assign, l, r) for l, r in premises) and \
-                    not holds(alg, assign, *conclusion):
-                return assign
+        tables, n = alg.tables(), len(alg.carrier)
+        full = (1 << n ** len(names)) - 1
+        planes = dict(zip(formulas, _value_planes(formulas, names, alg.carrier, tables)))
+        leq = [(a, b) for a, b in itertools.product(range(n), repeat=2)
+               if alg.leq(alg.carrier[a], alg.carrier[b])]
+        one, zero = alg.carrier.index(alg.one), tables["bot"][0]
+
+        def holds(left: list, right: list) -> int:
+            lo = _constant(one, n, full)
+            for f in left:
+                lo = _apply2(tables["and"], lo, planes[f])
+            hi = _constant(zero, n, full)
+            for f in right:
+                hi = _apply2(tables["or"], hi, planes[f])
+            return _leq_mask(lo, hi, leq)
+
+        mask = full & ~holds(*conclusion)
+        for left, right in premises:
+            mask &= holds(left, right)
+        if mask:
+            return _first_valuation(mask, names, alg.carrier)
     return None
 
 

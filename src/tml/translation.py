@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .matrix import LogicalMatrix, M4, valuations
-from .sequents import Sequent, render_sequent, sequent_satisfied
-from .signed import NSequent, SignedRule, nsequent_satisfied
+from .matrix import LogicalMatrix, M4, _refuting, _value_planes
+from .sequents import Sequent, render_sequent
+from .signed import NSequent, SignedRule
 from .syntax import (Formula, FormulaTemplate, Neg, PLACEHOLDER, Var,
                      formula_key, substitute, variables)
 
@@ -149,18 +149,27 @@ def two_of_nsequent(s: NSequent, spec: ExpressivenessSpec,
 def verify_two_equivalence(s: NSequent, spec: ExpressivenessSpec,
                            m: LogicalMatrix = M4) -> bool:
     """A valuation satisfies the n-sequent iff it satisfies every
-    translated sequent; checked over all valuations of its variables."""
+    translated sequent; checked over all valuations of its variables at
+    once."""
     twos = two_of_nsequent(s, spec, m)
     vars_: set[str] = set()
     for comp in s.components:
         for f in comp:
             vars_ |= variables(f)
-    for v in valuations(vars_, m):
-        lhs = nsequent_satisfied(v, s, m)
-        rhs = all(sequent_satisfied(v, t, m) for t in twos)
-        if lhs != rhs:
-            return False
-    return True
+    names = sorted(vars_)
+    formulas = [f for comp in s.components for f in comp]
+    formulas += [f for t in twos for f in itertools.chain(t.left, t.right)]
+    planes = dict(zip(formulas, _value_planes(formulas, names, m.values, m.tables())))
+    full = (1 << len(m.values) ** len(names)) - 1
+    # an n-sequent holds where some formula of component i takes value i
+    lhs = 0
+    for i, comp in enumerate(s.components):
+        for f in comp:
+            lhs |= planes[f][i]
+    rhs = full
+    for t in twos:
+        rhs &= ~_refuting([planes[f] for f in t.left], [planes[f] for f in t.right], m, full)
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
