@@ -1,22 +1,22 @@
-"""Brute-force equational law checking for four-valued modal algebras.
+"""Tetravalent modal algebras and their laws, checked on the kernel.
 
 An algebra here is a finite carrier with meet, join, an involutive
-negation, a necessity operator and a bottom constant.  The checker
-verifies the bounded-distributive-lattice laws, the De Morgan laws, the
-two defining modal axioms (#a & ~a = 0 and ~#a & a = ~a & a), the
-standard stock of derived modal identities, and the implication
-(x <= y|z and x&~z <= y) => x <= y|#z, all by exhaustive enumeration.
+negation, a necessity operator and a bottom constant.  The laws are
+formula texts that ``check_tma_laws`` evaluates under every assignment
+at once with ``matrix._value_planes``; ``algebra_evaluate`` is the
+pointwise evaluator the tests compare the kernel with.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Hashable, Mapping, Optional
+from functools import cache, cached_property, reduce
+from operator import or_, xor
+from typing import Hashable, Mapping, Optional
 
-from .matrix import M4, LogicalMatrix
-from .syntax import And, Bot, Box, Formula, Neg, Or, Var
+from .matrix import M4, LogicalMatrix, _first_valuation, _value_planes
+from .syntax import And, Bot, Box, Formula, Neg, Or, Var, parse, variables
 
 __all__ = [
     "Algebra", "LawCheck", "TmaLawReport", "m4_algebra", "product_algebra",
@@ -60,11 +60,16 @@ class Algebra:
                 "box": tuple(idx[self.box[e]] for e in self.carrier),
                 "bot": (idx[self.zero],)}
 
+    @cached_property
+    def leq_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The order as index pairs (i, j), carrier[i] <= carrier[j]."""
+        pairs = itertools.product(range(len(self.carrier)), repeat=2)
+        return tuple((i, j) for i, j in pairs if self.leq(self.carrier[i], self.carrier[j]))
+
 
 def m4_algebra(m: LogicalMatrix = M4) -> Algebra:
-    vals = m.values
     return Algebra(
-        carrier=vals,
+        carrier=m.values,
         meet={k: v for k, v in m.ops["and"].table.items()},
         join={k: v for k, v in m.ops["or"].table.items()},
         neg={k[0]: v for k, v in m.ops["neg"].table.items()},
@@ -89,21 +94,32 @@ def product_algebra(a: Algebra, b: Algebra) -> Algebra:
 
 
 def algebra_evaluate(f: Formula, assignment: Mapping[str, Element], alg: Algebra) -> Element:
-    """Evaluate a formula under a variable assignment into the algebra."""
-    if isinstance(f, Var):
-        return assignment[f.name]
-    if isinstance(f, Bot):
-        return alg.zero
-    if isinstance(f, Neg):
-        return alg.neg[algebra_evaluate(f.child, assignment, alg)]
-    if isinstance(f, Box):
-        return alg.box[algebra_evaluate(f.child, assignment, alg)]
-    if isinstance(f, And):
-        return alg.meet[(algebra_evaluate(f.left, assignment, alg),
-                         algebra_evaluate(f.right, assignment, alg))]
-    assert isinstance(f, Or)
-    return alg.join[(algebra_evaluate(f.left, assignment, alg),
-                     algebra_evaluate(f.right, assignment, alg))]
+    """Evaluate a formula under a variable assignment into the algebra;
+    iterative, walking the formula as ``matrix.evaluate`` does."""
+    # (table, pending right child | (left value,) | None for unary)
+    stack: list[tuple[Mapping, object]] = []
+    g = f
+    while True:
+        while type(g) is not Var and type(g) is not Bot:
+            if type(g) is And or type(g) is Or:
+                stack.append((alg.meet if type(g) is And else alg.join, g.right))
+                g = g.left
+            else:
+                stack.append((alg.neg if type(g) is Neg else alg.box, None))
+                g = g.child
+        val = assignment[g.name] if type(g) is Var else alg.zero
+        while stack:
+            table, right = stack.pop()
+            if right is None:
+                val = table[val]
+            elif type(right) is tuple:
+                val = table[(right[0], val)]
+            else:
+                stack.append((table, (val,)))
+                g = right
+                break
+        else:
+            return val
 
 
 @dataclass(frozen=True)
@@ -139,199 +155,71 @@ class TmaLawReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _laws() -> list[tuple[str, int, Callable[[Algebra, tuple], bool]]]:
-    def mk(alg: Algebra):
-        return alg.meet, alg.join, alg.neg, alg.box
+# The laws in report order over a, b, c (argument order, so the lowest
+# failing assignment is the first failing itertools.product tuple), with
+# bot for zero, ~bot for one and x <= y written x & y = x.
+_LAWS = """
+or_commutative               a | b = b | a
+and_commutative              a & b = b & a
+or_associative               a | (b | c) = (a | b) | c
+and_associative              a & (b & c) = (a & b) & c
+or_idempotent                a | a = a
+and_idempotent               a & a = a
+absorption_join              a | a & b = a
+absorption_meet              a & (a | b) = a
+distributive_meet_over_join  a & (b | c) = a & b | a & c
+distributive_join_over_meet  a | b & c = (a | b) & (a | c)
+bottom_is_join_unit          a | bot = a
+bottom_is_meet_zero          a & bot = bot
+top_is_join_zero             a | ~bot = ~bot
+top_is_meet_unit             a & ~bot = a
+neg_involution               ~~a = a
+de_morgan_join               ~(a | b) = ~a & ~b
+modal_axiom_box_meet_neg     #a & ~a = bot
+modal_axiom_neg_box_meet     ~#a & a = ~a & a
+neg_box_join_is_top          ~#a | a = ~bot
+box_join_neg                 #a | ~a = a | ~a
+box_excluded_middle          #a | ~#a = ~bot
+box_non_contradiction        #a & ~#a = bot
+box_decreasing               #a & a = #a
+box_preserves_top            #~bot = ~bot
+box_preserves_bottom         #bot = bot
+box_idempotent               ##a = #a
+box_distributes_over_meet    #(a & b) = #a & #b
+box_join_boxed               #(a | #b) = #a | #b
+box_of_neg_box               #~#a = ~#a
+meet_with_box_neg            a & #~a = bot
+box_of_boxed_meet            #(#a & #b) = #a & #b
+box_of_boxed_join            #(#a | #b) = #a | #b
+box_join_implication         a & (b | c) = a, a & ~c & b = a & ~c => a & (b | #c) = a
+"""
 
-    laws: list[tuple[str, int, Callable[[Algebra, tuple], bool]]] = []
 
-    def law(name: str, arity: int):
-        def deco(fn):
-            laws.append((name, arity, fn))
-            return fn
-        return deco
-
-    # bounded distributive lattice
-    @law("or_commutative", 2)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c = e
-        return j[(a, c)] == j[(c, a)]
-
-    @law("and_commutative", 2)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c = e
-        return m[(a, c)] == m[(c, a)]
-
-    @law("or_associative", 3)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c, d = e
-        return j[(a, j[(c, d)])] == j[(j[(a, c)], d)]
-
-    @law("and_associative", 3)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c, d = e
-        return m[(a, m[(c, d)])] == m[(m[(a, c)], d)]
-
-    @law("or_idempotent", 1)
-    def _(alg, e):
-        m, j, n, b = mk(alg); (a,) = e
-        return j[(a, a)] == a
-
-    @law("and_idempotent", 1)
-    def _(alg, e):
-        m, j, n, b = mk(alg); (a,) = e
-        return m[(a, a)] == a
-
-    @law("absorption_join", 2)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c = e
-        return j[(a, m[(a, c)])] == a
-
-    @law("absorption_meet", 2)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c = e
-        return m[(a, j[(a, c)])] == a
-
-    @law("distributive_meet_over_join", 3)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c, d = e
-        return m[(a, j[(c, d)])] == j[(m[(a, c)], m[(a, d)])]
-
-    @law("distributive_join_over_meet", 3)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c, d = e
-        return j[(a, m[(c, d)])] == m[(j[(a, c)], j[(a, d)])]
-
-    @law("bottom_is_join_unit", 1)
-    def _(alg, e):
-        (a,) = e
-        return alg.join[(a, alg.zero)] == a
-
-    @law("bottom_is_meet_zero", 1)
-    def _(alg, e):
-        (a,) = e
-        return alg.meet[(a, alg.zero)] == alg.zero
-
-    @law("top_is_join_zero", 1)
-    def _(alg, e):
-        (a,) = e
-        return alg.join[(a, alg.one)] == alg.one
-
-    @law("top_is_meet_unit", 1)
-    def _(alg, e):
-        (a,) = e
-        return alg.meet[(a, alg.one)] == a
-
-    # De Morgan negation
-    @law("neg_involution", 1)
-    def _(alg, e):
-        (a,) = e
-        return alg.neg[alg.neg[a]] == a
-
-    @law("de_morgan_join", 2)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c = e
-        return n[j[(a, c)]] == m[(n[a], n[c])]
-
-    # the two defining modal axioms
-    @law("modal_axiom_box_meet_neg", 1)
-    def _(alg, e):
-        m, j, n, b = mk(alg); (a,) = e
-        return m[(b[a], n[a])] == alg.zero
-
-    @law("modal_axiom_neg_box_meet", 1)
-    def _(alg, e):
-        m, j, n, b = mk(alg); (a,) = e
-        return m[(n[b[a]], a)] == m[(n[a], a)]
-
-    # derived modal identities
-    @law("neg_box_join_is_top", 1)
-    def _(alg, e):
-        m, j, n, b = mk(alg); (a,) = e
-        return j[(n[b[a]], a)] == alg.one
-
-    @law("box_join_neg", 1)
-    def _(alg, e):
-        m, j, n, b = mk(alg); (a,) = e
-        return j[(b[a], n[a])] == j[(a, n[a])]
-
-    @law("box_excluded_middle", 1)
-    def _(alg, e):
-        m, j, n, b = mk(alg); (a,) = e
-        return j[(b[a], n[b[a]])] == alg.one
-
-    @law("box_non_contradiction", 1)
-    def _(alg, e):
-        m, j, n, b = mk(alg); (a,) = e
-        return m[(b[a], n[b[a]])] == alg.zero
-
-    @law("box_decreasing", 1)
-    def _(alg, e):
-        (a,) = e
-        return alg.leq(alg.box[a], a)
-
-    @law("box_preserves_top", 0)
-    def _(alg, e):
-        return alg.box[alg.one] == alg.one
-
-    @law("box_preserves_bottom", 0)
-    def _(alg, e):
-        return alg.box[alg.zero] == alg.zero
-
-    @law("box_idempotent", 1)
-    def _(alg, e):
-        (a,) = e
-        return alg.box[alg.box[a]] == alg.box[a]
-
-    @law("box_distributes_over_meet", 2)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c = e
-        return b[m[(a, c)]] == m[(b[a], b[c])]
-
-    @law("box_join_boxed", 2)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c = e
-        return b[j[(a, b[c])]] == j[(b[a], b[c])]
-
-    @law("box_of_neg_box", 1)
-    def _(alg, e):
-        m, j, n, b = mk(alg); (a,) = e
-        return b[n[b[a]]] == n[b[a]]
-
-    @law("meet_with_box_neg", 1)
-    def _(alg, e):
-        m, j, n, b = mk(alg); (a,) = e
-        return m[(a, b[n[a]])] == alg.zero
-
-    @law("box_of_boxed_meet", 2)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c = e
-        return b[m[(b[a], b[c])]] == m[(b[a], b[c])]
-
-    @law("box_of_boxed_join", 2)
-    def _(alg, e):
-        m, j, n, b = mk(alg); a, c = e
-        return b[j[(b[a], b[c])]] == j[(b[a], b[c])]
-
-    # (x <= y|z and x & ~z <= y) implies x <= y | #z
-    @law("box_join_implication", 3)
-    def _(alg, e):
-        m, j, n, b = mk(alg); x, y, z = e
-        if alg.leq(x, j[(y, z)]) and alg.leq(m[(x, n[z])], y):
-            return alg.leq(x, j[(y, b[z])])
-        return True
-
-    return laws
+@cache
+def _parsed_laws() -> tuple[tuple[str, list[tuple[Formula, Formula]]], ...]:
+    """Each law's name and equations, the conclusion last; parsed on
+    first use, so that importing the module parses nothing."""
+    laws = []
+    for line in _LAWS.strip().splitlines():
+        name, text = line.split(None, 1)
+        sides = [equation.split(" = ") for equation in text.replace(" => ", ", ").split(", ")]
+        laws.append((name, [(parse(x), parse(y)) for x, y in sides]))
+    return tuple(laws)
 
 
 def check_tma_laws(alg: Algebra) -> TmaLawReport:
-    """Run every law over all element tuples; failures carry a witness."""
+    """Check every law under all assignments at once: an equation fails
+    where the planes of its sides differ, a law where its premises hold
+    and its conclusion fails.  A failure carries its first failing
+    assignment in ``itertools.product`` order."""
     checks = []
-    for name, arity, fn in _laws():
-        holds, witness = True, None
-        for elems in itertools.product(alg.carrier, repeat=arity):
-            if not fn(alg, elems):
-                holds, witness = False, elems
-                break
-        checks.append(LawCheck(name, holds, witness))
+    for name, equations in _parsed_laws():
+        formulas = [f for sides in equations for f in sides]
+        names = sorted(set().union(*map(variables, formulas)))
+        planes = dict(zip(formulas, _value_planes(formulas, names, alg.carrier, alg.tables())))
+        *premises, fails = [reduce(or_, map(xor, planes[x], planes[y])) for x, y in equations]
+        for mask in premises:
+            fails &= ~mask
+        witness = tuple(_first_valuation(fails, names, alg.carrier).values()) if fails else None
+        checks.append(LawCheck(name, not fails, witness))
     return TmaLawReport(tuple(checks))

@@ -639,8 +639,6 @@ def schema_counterexample(premises: list[tuple[list, list]],
         tables, n = alg.tables(), len(alg.carrier)
         full = (1 << n ** len(names)) - 1
         planes = dict(zip(formulas, _value_planes(formulas, names, alg.carrier, tables)))
-        leq = [(a, b) for a, b in itertools.product(range(n), repeat=2)
-               if alg.leq(alg.carrier[a], alg.carrier[b])]
         one, zero = alg.carrier.index(alg.one), tables["bot"][0]
 
         def holds(left: list, right: list) -> int:
@@ -650,7 +648,7 @@ def schema_counterexample(premises: list[tuple[list, list]],
             hi = _constant(zero, n, full)
             for f in right:
                 hi = _apply2(tables["or"], hi, planes[f])
-            return _leq_mask(lo, hi, leq)
+            return _leq_mask(lo, hi, alg.leq_pairs)
 
         mask = full & ~holds(*conclusion)
         for left, right in premises:

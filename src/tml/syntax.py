@@ -350,7 +350,7 @@ def parse(text: str) -> Formula:
     return f
 
 
-_UNICODE_MAP = {"~": "¬", "#": "□", "&": "∧", "|": "∨"}
+_UNICODE_MAP = str.maketrans({"~": "¬", "#": "□", "&": "∧", "|": "∨"})
 
 
 def render(f: Formula, style: str = "ascii") -> str:
@@ -359,30 +359,9 @@ def render(f: Formula, style: str = "ascii") -> str:
         return f.text
     if style != "unicode":
         raise ValueError(f"unknown style: {style!r}")
-    return _to_unicode(f)
-
-
-def _to_unicode(f: Formula) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Bot):
-        return "⊥"
-    if isinstance(f, (Neg, Box)):
-        sym = "¬" if isinstance(f, Neg) else "□"
-        inner = _to_unicode(f.child)
-        if f.child.prec < _PREC_UNARY:
-            inner = f"({inner})"
-        return sym + inner
-    assert isinstance(f, (And, Or))
-    prec = _PREC_AND if isinstance(f, And) else _PREC_OR
-    sym = "∧" if isinstance(f, And) else "∨"
-    lt = _to_unicode(f.left)
-    if f.left.prec < prec:
-        lt = f"({lt})"
-    rt = _to_unicode(f.right)
-    if f.right.prec <= prec:
-        rt = f"({rt})"
-    return f"{lt} {sym} {rt}"
+    # the ascii text with its symbols swapped: the same parentheses, and
+    # "bot" as a whole word is the constant, never part of a variable
+    return re.sub(r"\bbot\b", "⊥", f.text.translate(_UNICODE_MAP))
 
 
 # ---------------------------------------------------------------------------

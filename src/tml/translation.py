@@ -60,21 +60,16 @@ class ExpressivenessSpec:
 
     def condition_ii_holds(self, m: LogicalMatrix) -> bool:
         """Exhaustively: a formula takes value t iff all n_side instances
-        are non-designated and all d_side instances designated.  One
-        fresh variable suffices since templates have one variable."""
-        from .matrix import evaluate
-        probe = Var("x")
-        for value in m.values:
+        are non-designated and all d_side instances designated.  The
+        templates over p suffice, bit i of their planes being p = value i."""
+        tables, full = m.tables(), (1 << len(m.values)) - 1
+        for i, value in enumerate(m.values):
             vt = self.per_value[value]
-            for w in m.values:
-                v = {"x": w}
-                match = (
-                    all(evaluate(substitute(t, probe), v, m) not in m.designated
-                        for t in vt.n_side)
-                    and all(evaluate(substitute(t, probe), v, m) in m.designated
-                            for t in vt.d_side))
-                if match != (w == value):
-                    return False
+            d_side = [t.body for t in vt.d_side]
+            n_side = [t.body for t in vt.n_side]
+            planes = _value_planes(d_side + n_side, [PLACEHOLDER.name], m.values, tables)
+            if _refuting(planes[:len(d_side)], planes[len(d_side):], m, full) != 1 << i:
+                return False
         return True
 
 

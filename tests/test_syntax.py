@@ -67,6 +67,19 @@ class TestRender:
         assert render(Neg(And(p, q))) == "~(p & q)"
         assert render(Box(Or(p, q)), "unicode") == "□(p ∨ q)"
 
+    def test_unicode_deep_chain(self):
+        # 3000 nested connectives; names that contain "bot" stay names
+        a, b = Var("botx"), Var("x_bot")
+        f, want = a, "botx"
+        for i in range(3000):
+            if i % 3 == 0:
+                f, want = And(f, Neg(b)), f"{want} ∧ ¬x_bot"
+            elif i % 3 == 1:
+                f, want = Or(BOT, f), f"⊥ ∨ {want}"
+            else:
+                f, want = Box(f), f"□({want})"
+        assert render(f, "unicode") == want
+
     @given(formulas())
     def test_roundtrip(self, f):
         assert parse(render(f)) is f

@@ -5,7 +5,7 @@ import pytest
 from tml.matrix import M4, valuations
 from tml.sequents import Sequent, render_sequent, sequent_satisfied
 from tml.signed import NSequent, generate_sf_rules, nsequent_satisfied
-from tml.syntax import (FormulaTemplate, Neg, PLACEHOLDER, Var, parse)
+from tml.syntax import (Box, FormulaTemplate, Neg, PLACEHOLDER, Var, parse)
 from tml.translation import (ExpressivenessSpec, ValueTemplates, m4_spec,
                              partitions, render_rule_sheet, rule_sheet_json,
                              spec_from_json, spec_to_json, two_of_calculus,
@@ -49,10 +49,38 @@ class TestSpec:
         })
         assert not broken.condition_ii_holds(M4)
 
+    def test_condition_ii_golden(self):
+        # verdicts recorded from the per-value loop over evaluate that
+        # preceded the value planes
+        assert "".join("1" if spec.condition_ii_holds(M4) else "0"
+                       for spec in _spec_mutants()) == CONDITION_II_VERDICTS
+
     def test_json_roundtrip(self):
         spec = m4_spec()
         again = spec_from_json(spec_to_json(spec))
         assert again == spec
+
+
+def _spec_mutants():
+    """m4_spec with one template dropped, moved to the other side or
+    boxed, in turn."""
+    spec = m4_spec()
+    for value, vt in spec.per_value.items():
+        for side, other in (("n_side", "d_side"), ("d_side", "n_side")):
+            temps = getattr(vt, side)
+            for i, t in enumerate(temps):
+                rest = temps[:i] + temps[i + 1:]
+                boxed = FormulaTemplate(Box(t.body))
+                for changed in ({side: rest},
+                                {side: rest, other: getattr(vt, other) + (t,)},
+                                {side: rest[:i] + (boxed,) + rest[i:]}):
+                    yield ExpressivenessSpec({
+                        **dict(spec.per_value),
+                        value: ValueTemplates(**{side: temps, other: getattr(vt, other),
+                                                 **changed})})
+
+
+CONDITION_II_VERDICTS = "000001001001000000000001"
 
 
 class TestPartitions:
