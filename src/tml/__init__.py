@@ -1,7 +1,8 @@
 """Four-valued modal logic toolkit.
 
-Matrix semantics over the values 0, n, b, 1, a brute-force algebra law
-checker, a generic signed-formula calculus with its two-sided
+Matrix semantics over the values 0, n, b, 1, the tetravalent-modal-
+algebra laws as formulas checked on the same value-plane kernel, a
+generic signed-formula calculus with its two-sided
 translation, a cut-free two-sided sequent calculus with terminating
 proof search, the single-conclusion calculus G, and natural deduction
 with hypothesis discharge, all cross-validated against exhaustive

@@ -11,12 +11,13 @@ weakening and cut to rebuild a sequent proof from a deduction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
+from operator import is_not
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import sc
-from .proofs import CheckError, Path, from_json, render, to_json, walk
+from .proofs import CheckError, Path, fold, from_json, render, to_json, walk
 from .sc import ScProof, ScRule
 from .sequents import Sequent
 from .syntax import And, BOT, Box, Formula, Neg, Or, parse
@@ -271,43 +272,42 @@ def _clone_fresh(d: NDDeduction, mk: _Markers) -> NDDeduction:
             mapping[m] = mk.fresh()
         return mapping[m]
 
-    def go(node: NDDeduction) -> NDDeduction:
-        return NDDeduction(
-            node.rule, node.conclusion, tuple(go(q) for q in node.premises),
-            marker=rn(node.marker) if node.marker is not None else None,
-            discharges=tuple((rn(m), f) for m, f in node.discharges))
-
-    return go(d)
-
-
-def _relabel_open(d: NDDeduction, assumption: Formula, marker: str) -> NDDeduction:
-    """Give every open hypothesis of the given formula the same marker."""
-
-    def go(node: NDDeduction, shadowed: frozenset[str]) -> NDDeduction:
-        if node.rule == "hyp":
-            if node.conclusion is assumption and node.marker not in shadowed:
-                return replace(node, marker=marker)
-            return node
-        sh = shadowed | {m for m, _ in node.discharges}
-        return replace(node, premises=tuple(go(q, sh) for q in node.premises))
-
-    return go(d, frozenset())
+    return fold(d, lambda node, premises: NDDeduction(
+        node.rule, node.conclusion, tuple(premises),
+        marker=rn(node.marker) if node.marker is not None else None,
+        discharges=tuple((rn(m), f) for m, f in node.discharges)))
 
 
 def _graft(d: NDDeduction, assumption: Formula,
            builder: Callable[[], NDDeduction]) -> NDDeduction:
     """Replace open hypotheses of the given formula by fresh instances of
-    a deduction concluding it."""
+    a deduction concluding it, in the order of a depth-first walk.
 
-    def go(node: NDDeduction, shadowed: frozenset[str]) -> NDDeduction:
+    The stack carries down the markers discharged above each node, in
+    place of the paths of ``walk``, which cost a copy of the path per
+    node: a translation grafts once per rule, on deductions as tall as
+    the proof.  Untouched subtrees are kept, not copied."""
+    done: list[NDDeduction] = []
+    stack = [(d, frozenset(), True)]
+    while stack:
+        node, shadowed, entering = stack.pop()
         if node.rule == "hyp":
-            if node.conclusion is assumption and node.marker not in shadowed:
-                return builder()
-            return node
-        sh = shadowed | {m for m, _ in node.discharges}
-        return replace(node, premises=tuple(go(q, sh) for q in node.premises))
-
-    return go(d, frozenset())
+            hit = node.conclusion is assumption and node.marker not in shadowed
+            done.append(builder() if hit else node)
+        elif entering:
+            stack.append((node, shadowed, False))
+            if node.discharges:
+                shadowed = shadowed.union(m for m, _ in node.discharges)
+            stack.extend((q, shadowed, True) for q in reversed(node.premises))
+        else:
+            start = len(done) - len(node.premises)
+            premises = tuple(done[start:])
+            del done[start:]
+            if any(map(is_not, premises, node.premises)):
+                node = NDDeduction(node.rule, node.conclusion, premises,
+                                   discharges=node.discharges)
+            done.append(node)
+    return done[0]
 
 
 def distribute_join_over_meet(gamma: Formula, x: Formula, y: Formula,
@@ -370,6 +370,29 @@ class NdTranslationError(ValueError):
     pass
 
 
+# The deduction rules that stand for a sequent rule: the introductions of
+# a right rule and the eliminations of a left rule, one for each formula
+# that a one-premise rule adds, one for the two premises of the others.
+_ND_INTRO = {
+    ScRule.OR_R: ("or_i1", "or_i2"), ScRule.NEG_AND_R: ("neg_and_i1", "neg_and_i2"),
+    ScRule.NEG_NEG_R: ("neg_neg_i",), ScRule.NEG_BOX_R2: ("neg_box_i",),
+    ScRule.AND_R: ("and_i",), ScRule.NEG_OR_R: ("neg_or_i",),
+}
+_ND_ELIM = {
+    ScRule.AND_L: ("and_e1", "and_e2"), ScRule.NEG_OR_L: ("neg_or_e1", "neg_or_e2"),
+    ScRule.NEG_NEG_L: ("neg_neg_e",), ScRule.BOX_L1: ("box_e",),
+    ScRule.OR_L: ("or_e",), ScRule.NEG_AND_L: ("neg_and_e",),
+}
+_SC_RULE = {name: rule for table in (_ND_INTRO, _ND_ELIM)
+            for rule, names in table.items() for name in names}
+
+
+def _added(rule: ScRule, pi: Formula) -> list[tuple[Formula, ...]]:
+    """The formulas each premise of a logical rule adds on its side."""
+    schema = sc._SCHEMAS[rule]
+    return [dl if schema.side == "L" else dr for dl, dr in schema.deltas(schema.parts(pi))]
+
+
 class _ToNd:
     def __init__(self):
         self.mk = _Markers()
@@ -384,17 +407,15 @@ class _ToNd:
             return self.bot_to(ded, _fold(target_elems))
         if elem not in target_elems:
             raise NdTranslationError(f"{elem} is not a disjunct of the target")
-        return self._embed(ded, elem, list(target_elems))
-
-    def _embed(self, ded: NDDeduction, elem: Formula,
-               elems: list[Formula]) -> NDDeduction:
-        if len(elems) == 1:
-            return ded
-        head, rest = elems[0], elems[1:]
-        if elem is head:
-            return NDDeduction("or_i1", _fold(elems), (ded,))
-        inner = self._embed(ded, elem, rest)
-        return NDDeduction("or_i2", _fold(elems), (inner,))
+        elems = list(target_elems)
+        k = elems.index(elem)
+        out = _fold(elems[k:])
+        if k < len(elems) - 1:
+            ded = NDDeduction("or_i1", out, (ded,))
+        for e in reversed(elems[:k]):
+            out = Or(e, out)
+            ded = NDDeduction("or_i2", out, (ded,))
+        return ded
 
     def bot_to(self, ded: NDDeduction, target: Formula) -> NDDeduction:
         return ded if target is BOT else NDDeduction("bot_e", target, (ded,))
@@ -405,14 +426,20 @@ class _ToNd:
                       ) -> NDDeduction:
         """Case-split a deduction of the right-fold of `shape`; every
         branch function must conclude `target`."""
-        if len(shape) == 1:
-            return branch(ded, shape[0])
-        head, rest = shape[0], list(shape[1:])
-        u, v = self.mk.fresh(), self.mk.fresh()
-        b1 = branch(hyp(head, u), head)
-        b2 = self.or_elim_shape(hyp(_fold(rest), v), rest, target, branch)
-        return NDDeduction("or_e", target, (ded, b1, b2),
-                           discharges=((u, head), (v, _fold(rest))))
+        rests: list[Formula] = []   # the right-folds of shape[1:], shape[2:], ...
+        for f in reversed(shape[1:]):
+            rests.append(Or(f, rests[-1]) if rests else f)
+        rests.reverse()
+        opened = []
+        for head, rest in zip(shape, rests):
+            u, v = self.mk.fresh(), self.mk.fresh()
+            opened.append((ded, u, head, v, rest, branch(hyp(head, u), head)))
+            ded = hyp(rest, v)
+        out = branch(ded, shape[-1])
+        for ded, u, head, v, rest, b1 in reversed(opened):
+            out = NDDeduction("or_e", target, (ded, b1, out),
+                              discharges=((u, head), (v, rest)))
+        return out
 
     def remap(self, ded: NDDeduction, source: Iterable[Formula],
               target_set: Iterable[Formula],
@@ -439,189 +466,89 @@ class _ToNd:
 
     # -- the rule cases ---------------------------------------------------
 
-    def translate(self, node: ScProof) -> NDDeduction:
+    def step(self, node: ScProof, ds: list[NDDeduction]) -> NDDeduction:
+        """The deduction of a node from the deductions of its premises."""
         seq = node.sequent
         delta = _elems(seq.right)
         target = _fold(delta)
         rule = node.rule
+        srcs = [q.sequent.right for q in node.premises]
 
         if rule is ScRule.AXIOM:
             (alpha,) = node.principal
             return self.embed(hyp(alpha, self.mk.fresh()), alpha, delta)
-
         if rule is ScRule.CUT:
             raise NdTranslationError("translation requires a cut-free proof")
-
         if rule is ScRule.WEAK_L:
             (beta,) = node.principal
-            d = self.translate(node.premises[0])
-            conj = And(target, beta)
-            glued = NDDeduction("and_i", conj, (d, hyp(beta, self.mk.fresh())))
+            glued = NDDeduction("and_i", And(target, beta), (ds[0], hyp(beta, self.mk.fresh())))
             return NDDeduction("and_e1", target, (glued,))
-
         if rule is ScRule.WEAK_R:
-            d = self.translate(node.premises[0])
-            return self.remap(d, node.premises[0].sequent.right, seq.right)
+            return self.remap(ds[0], srcs[0], seq.right)
 
         (pi,) = node.principal
+        if rule in _ND_INTRO:
+            intros = _ND_INTRO[rule]
+            if len(ds) == 1:   # introduce pi from whichever part is derived
+                override = {x: partial(self._intro, r, pi, delta)
+                            for x, r in zip(_added(rule, pi)[0], intros)}
+                return self.remap(ds[0], srcs[0], seq.right, override)
+            (x1,), (x2,) = _added(rule, pi)
 
-        if rule is ScRule.OR_R:
-            a, b = pi.left, pi.right
-            d = self.translate(node.premises[0])
-            override = {
-                a: lambda s: self.embed(NDDeduction("or_i1", pi, (s,)), pi, delta),
-                b: lambda s: self.embed(NDDeduction("or_i2", pi, (s,)), pi, delta),
-            }
-            return self.remap(d, node.premises[0].sequent.right, seq.right, override)
+            def with_first(s1: NDDeduction) -> NDDeduction:
+                second = {x2: lambda s2: self._intro(intros[0], pi, delta, s1, s2)}
+                return self.remap(_clone_fresh(ds[1], self.mk), srcs[1], seq.right, second)
 
-        if rule is ScRule.OR_L:
-            a, b = pi.left, pi.right
-            d1 = self.translate(node.premises[0])
-            d2 = self.translate(node.premises[1])
+            return self.remap(ds[0], srcs[0], seq.right, {x1: with_first})
+        if rule in _ND_ELIM:
+            elims = _ND_ELIM[rule]
+            if len(ds) == 1:   # eliminate pi at every open hypothesis of a part
+                d = ds[0]
+                for x, r in zip(_added(rule, pi)[0], elims):
+                    d = _graft(d, x, lambda x=x, r=r: NDDeduction(
+                        r, x, (hyp(pi, self.mk.fresh()),)))
+                return d
+            (x1,), (x2,) = _added(rule, pi)
             u, v = self.mk.fresh(), self.mk.fresh()
             return NDDeduction(
-                "or_e", target,
+                elims[0], target,
                 (hyp(pi, self.mk.fresh()),
-                 _relabel_open(d1, a, u),
-                 _relabel_open(d2, b, v)),
-                discharges=((u, a), (v, b)))
-
-        if rule is ScRule.NEG_OR_L:
-            a, b = pi.child.left, pi.child.right
-            d = self.translate(node.premises[0])
-            d = _graft(d, Neg(a), lambda: NDDeduction(
-                "neg_or_e1", Neg(a), (hyp(pi, self.mk.fresh()),)))
-            d = _graft(d, Neg(b), lambda: NDDeduction(
-                "neg_or_e2", Neg(b), (hyp(pi, self.mk.fresh()),)))
-            return d
-
-        if rule is ScRule.NEG_OR_R:
-            a, b = pi.child.left, pi.child.right
-            d1 = self.translate(node.premises[0])
-            d2 = self.translate(node.premises[1])
-            src1 = node.premises[0].sequent.right
-            src2 = node.premises[1].sequent.right
-
-            def with_na(s_na: NDDeduction) -> NDDeduction:
-                override2 = {Neg(b): lambda s_nb: self.embed(
-                    NDDeduction("neg_or_i", pi, (s_na, s_nb)), pi, delta)}
-                return self.remap(_clone_fresh(d2, self.mk), src2, seq.right, override2)
-
-            return self.remap(d1, src1, seq.right, {Neg(a): with_na})
-
-        if rule is ScRule.AND_L:
-            a, b = pi.left, pi.right
-            d = self.translate(node.premises[0])
-            d = _graft(d, a, lambda: NDDeduction(
-                "and_e1", a, (hyp(pi, self.mk.fresh()),)))
-            d = _graft(d, b, lambda: NDDeduction(
-                "and_e2", b, (hyp(pi, self.mk.fresh()),)))
-            return d
-
-        if rule is ScRule.AND_R:
-            a, b = pi.left, pi.right
-            d1 = self.translate(node.premises[0])
-            d2 = self.translate(node.premises[1])
-            src1 = node.premises[0].sequent.right
-            src2 = node.premises[1].sequent.right
-
-            def with_a(s_a: NDDeduction) -> NDDeduction:
-                override2 = {b: lambda s_b: self.embed(
-                    NDDeduction("and_i", pi, (s_a, s_b)), pi, delta)}
-                return self.remap(_clone_fresh(d2, self.mk), src2, seq.right, override2)
-
-            return self.remap(d1, src1, seq.right, {a: with_a})
-
-        if rule is ScRule.NEG_AND_L:
-            a, b = pi.child.left, pi.child.right
-            d1 = self.translate(node.premises[0])
-            d2 = self.translate(node.premises[1])
-            u, v = self.mk.fresh(), self.mk.fresh()
-            return NDDeduction(
-                "neg_and_e", target,
-                (hyp(pi, self.mk.fresh()),
-                 _relabel_open(d1, Neg(a), u),
-                 _relabel_open(d2, Neg(b), v)),
-                discharges=((u, Neg(a)), (v, Neg(b))))
-
-        if rule is ScRule.NEG_AND_R:
-            a, b = pi.child.left, pi.child.right
-            d = self.translate(node.premises[0])
-            override = {
-                Neg(a): lambda s: self.embed(
-                    NDDeduction("neg_and_i1", pi, (s,)), pi, delta),
-                Neg(b): lambda s: self.embed(
-                    NDDeduction("neg_and_i2", pi, (s,)), pi, delta),
-            }
-            return self.remap(d, node.premises[0].sequent.right, seq.right, override)
-
-        if rule is ScRule.NEG_NEG_L:
-            a = pi.child.child
-            d = self.translate(node.premises[0])
-            return _graft(d, a, lambda: NDDeduction(
-                "neg_neg_e", a, (hyp(pi, self.mk.fresh()),)))
-
-        if rule is ScRule.NEG_NEG_R:
-            a = pi.child.child
-            d = self.translate(node.premises[0])
-            override = {a: lambda s: self.embed(
-                NDDeduction("neg_neg_i", pi, (s,)), pi, delta)}
-            return self.remap(d, node.premises[0].sequent.right, seq.right, override)
-
-        if rule is ScRule.BOX_L1:
-            a = pi.child
-            d = self.translate(node.premises[0])
-            return _graft(d, a, lambda: NDDeduction(
-                "box_e", a, (hyp(pi, self.mk.fresh()),)))
+                 _graft(ds[0], x1, lambda: hyp(x1, u)),
+                 _graft(ds[1], x2, lambda: hyp(x2, v))),
+                discharges=((u, x1), (v, x2)))
 
         if rule is ScRule.BOX_L2:
             a = pi.child
-            d = self.translate(node.premises[0])
 
             def kill(s_na: NDDeduction) -> NDDeduction:
                 pair = NDDeduction("and_i", And(Neg(a), pi),
                                    (s_na, hyp(pi, self.mk.fresh())))
                 return self.bot_to(NDDeduction("bot_i", BOT, (pair,)), target)
 
-            return self.remap(d, node.premises[0].sequent.right, seq.right,
-                              {Neg(a): kill})
-
-        if rule is ScRule.BOX_R:
-            return self._box_right(node, pi, delta, target)
-
-        if rule is ScRule.NEG_BOX_L:
-            return self._neg_box_left(node, pi, delta, target)
-
+            return self.remap(ds[0], srcs[0], seq.right, {Neg(a): kill})
         if rule is ScRule.NEG_BOX_R1:
             a = pi.child.child
-            d = self.translate(node.premises[0])
             u, v = self.mk.fresh(), self.mk.fresh()
             ma = NDDeduction("ma", Or(a, pi))
-            body = self.remap(_relabel_open(d, a, u),
-                              node.premises[0].sequent.right, seq.right)
+            body = self.remap(_graft(ds[0], a, lambda: hyp(a, u)), srcs[0], seq.right)
             side = self.embed(hyp(pi, v), pi, delta)
             return NDDeduction("or_e", target, (ma, body, side),
                                discharges=((u, a), (v, pi)))
+        if rule is ScRule.BOX_R:
+            return self._box_right(pi, delta, target, ds, srcs)
+        return self._neg_box_left(pi, delta, target, ds, srcs)
 
-        if rule is ScRule.NEG_BOX_R2:
-            a = pi.child.child
-            d = self.translate(node.premises[0])
-            override = {Neg(a): lambda s: self.embed(
-                NDDeduction("neg_box_i", pi, (s,)), pi, delta)}
-            return self.remap(d, node.premises[0].sequent.right, seq.right, override)
+    def _intro(self, rule: str, pi: Formula, delta: list[Formula],
+               *premises: NDDeduction) -> NDDeduction:
+        return self.embed(NDDeduction(rule, pi, premises), pi, delta)
 
-        raise AssertionError(f"unhandled rule {rule}")
-
-    def _box_right(self, node: ScProof, pi: Formula, delta: list[Formula],
-                   target: Formula) -> NDDeduction:
+    def _box_right(self, pi: Formula, delta: list[Formula], target: Formula,
+                   ds: list[NDDeduction], srcs: list[frozenset[Formula]]) -> NDDeduction:
         a = pi.child
-        d1 = self.translate(node.premises[0])
-        d2 = self.translate(node.premises[1])
-        src1 = node.premises[0].sequent.right
-        src2 = node.premises[1].sequent.right
+        d1, d2 = ds
+        src1, src2 = srcs
         rest = [f for f in delta if f is not pi]
         u = self.mk.fresh()
-
         if rest:
             psi = _fold(rest)
             shape = Or(psi, a)
@@ -642,7 +569,7 @@ class _ToNd:
                 return self.bot_to(NDDeduction("bot_i", BOT, (pair,)), psi)
 
             body = self.remap(d2, src2, rest, {pi: kill_box} if pi in src2 else None)
-            body = _relabel_open(body, Neg(a), u)
+            body = _graft(body, Neg(a), lambda: hyp(Neg(a), u))
             starred = NDDeduction("box_i_star", Or(psi, pi), (d0, body),
                                   discharges=((u, Neg(a)),))
 
@@ -668,7 +595,7 @@ class _ToNd:
             body = self.bot_to(d2, pi)
         else:
             body = d2
-        body = _relabel_open(body, Neg(a), u)
+        body = _graft(body, Neg(a), lambda: hyp(Neg(a), u))
         starred = NDDeduction("box_i_star", Or(pi, pi), (d0, body),
                               discharges=((u, Neg(a)),))
         v1, v2 = self.mk.fresh(), self.mk.fresh()
@@ -676,13 +603,11 @@ class _ToNd:
                            (starred, hyp(pi, v1), hyp(pi, v2)),
                            discharges=((v1, pi), (v2, pi)))
 
-    def _neg_box_left(self, node: ScProof, pi: Formula, delta: list[Formula],
-                      target: Formula) -> NDDeduction:
+    def _neg_box_left(self, pi: Formula, delta: list[Formula], target: Formula,
+                      ds: list[NDDeduction], srcs: list[frozenset[Formula]]) -> NDDeduction:
         a = pi.child.child
-        d1 = self.translate(node.premises[0])
-        d2 = self.translate(node.premises[1])
-        src1 = node.premises[0].sequent.right
-        src2 = node.premises[1].sequent.right
+        d1, d2 = ds
+        src1, src2 = srcs
 
         if not delta:
             got_a = d1 if d1.conclusion is a else self.remap(d1, src1, [a])
@@ -700,7 +625,7 @@ class _ToNd:
             return NDDeduction("or_i1", shape, (self.embed(s, e, delta),))
 
         d0 = self.or_elim_shape(d1, _elems(src1), shape, route1)
-        body = _relabel_open(self.remap(d2, src2, delta), Neg(a), u)
+        body = _graft(self.remap(d2, src2, delta), Neg(a), lambda: hyp(Neg(a), u))
         starred = NDDeduction("box_i_star", Or(psi, Box(a)), (d0, body),
                               discharges=((u, Neg(a)),))
         with_neg = NDDeduction("or_i2", Or(psi, pi), (hyp(pi, self.mk.fresh()),))
@@ -722,7 +647,7 @@ def sc_to_nd(p: ScProof) -> NDDeduction:
     """Translate a cut-free sequent proof of G => D into a deduction of
     the canonical disjunction of D whose open assumptions lie in G."""
     sc.verify_sc_proof(p, allow_cut=False)
-    return _ToNd().translate(p)
+    return fold(p, _ToNd().step)
 
 
 # ---------------------------------------------------------------------------
@@ -730,33 +655,6 @@ def sc_to_nd(p: ScProof) -> NDDeduction:
 
 def _axiom(f: Formula) -> ScProof:
     return sc.axiom([f], [f])
-
-
-def _lemma_and_proj(a: Formula, b: Formula, first: bool) -> ScProof:
-    out = a if first else b
-    base = sc.weaken(_axiom(out), [a, b], [out])
-    return ScProof(ScRule.AND_L, Sequent.of([And(a, b)], [out]), (And(a, b),), (base,))
-
-
-def _lemma_or_inj(a: Formula, b: Formula, first: bool) -> ScProof:
-    src = a if first else b
-    base = sc.weaken(_axiom(src), [src], [a, b])
-    return ScProof(ScRule.OR_R, Sequent.of([src], [Or(a, b)]), (Or(a, b),), (base,))
-
-
-def _lemma_neg_or_out(a: Formula, b: Formula, first: bool) -> ScProof:
-    out = Neg(a) if first else Neg(b)
-    base = sc.weaken(_axiom(out), [Neg(a), Neg(b)], [out])
-    return ScProof(ScRule.NEG_OR_L, Sequent.of([Neg(Or(a, b))], [out]),
-                   (Neg(Or(a, b)),), (base,))
-
-
-def _lemma_box_out(a: Formula) -> ScProof:
-    return ScProof(ScRule.BOX_L1, Sequent.of([Box(a)], [a]), (Box(a),), (_axiom(a),))
-
-
-def _lemma_nn_out(a: Formula) -> ScProof:
-    return sc.double_neg_elim(a)
 
 
 def _lemma_box_vs_plain(phi: Formula) -> ScProof:
@@ -775,29 +673,36 @@ def _lemma_box_vs_plain(phi: Formula) -> ScProof:
 
 
 class _ToSc:
-    """Reverse translation; the worker returns a proof of open => concl,
-    with an empty right side for deductions ending in the falsum
-    introduction (the falsum constant has no sequent rules)."""
+    """Reverse translation.  Each node yields a proof of open => concl,
+    or of open => with an empty right side for deductions ending in the
+    falsum introduction (the falsum constant has no sequent rules), and
+    whether the right side is empty.
+
+    A deduction rule that stands for a sequent rule becomes that rule
+    itself when the rule's premises each add one formula, the premises
+    of the deduction rule (&I, ~|I, ~~I, ~#I); becomes its case split
+    when it discharges (|E, ~&E); and otherwise becomes a cut against
+    the one-rule lemma of the sequent rule."""
 
     def translate(self, d: NDDeduction) -> ScProof:
-        proof, empty = self.go(d)
+        proof, empty = fold(d, self._step)
         if empty:
             return sc.weaken(proof, proof.sequent.left, [BOT])
         return proof
 
-    def _mat(self, pair: tuple[ScProof, bool], phi: Formula) -> ScProof:
+    @staticmethod
+    def _mat(pair: tuple[ScProof, bool], phi: Formula) -> ScProof:
         proof, empty = pair
         if empty:
             return sc.weaken(proof, proof.sequent.left, [phi])
         return proof
 
-    def go(self, d: NDDeduction) -> tuple[ScProof, bool]:
+    def _step(self, d: NDDeduction, results: list[tuple[ScProof, bool]],
+              ) -> tuple[ScProof, bool]:
         r = d.rule
         c = d.conclusion
-
         if r == "hyp":
             return _axiom(c), False
-
         if r == "ma":
             a = c.left
             base = _axiom(a)
@@ -805,92 +710,35 @@ class _ToSc:
                            (Neg(Box(a)),), (sc.weaken(base, [a], [a]),))
             full = ScProof(ScRule.OR_R, Sequent.of([], [c]), (c,), (step,))
             return full, False
+        if r == "bot_e":
+            proof, empty = results[0]
+            if not empty:
+                raise NdTranslationError(
+                    "falsum obtained from a bare hypothesis cannot be expressed "
+                    "in the sequent calculus")
+            if c is BOT:
+                return proof, True
+            return sc.weaken(proof, proof.sequent.left, [c]), False
 
-        if r == "and_i":
-            p1 = self._mat(self.go(d.premises[0]), c.left)
-            p2 = self._mat(self.go(d.premises[1]), c.right)
-            left = p1.sequent.left | p2.sequent.left
-            w1 = sc.weaken(p1, left, [c.left])
-            w2 = sc.weaken(p2, left, [c.right])
-            return ScProof(ScRule.AND_R, Sequent(left, frozenset({c})), (c,), (w1, w2)), False
-
-        if r in ("and_e1", "and_e2"):
-            conj = d.premises[0].conclusion
-            p = self._mat(self.go(d.premises[0]), conj)
-            lemma = _lemma_and_proj(conj.left, conj.right, r == "and_e1")
-            return sc.cut(p, lemma, conj, p.sequent.left, [c]), False
-
-        if r in ("neg_and_i1", "neg_and_i2"):
-            na = d.premises[0].conclusion
-            p = self._mat(self.go(d.premises[0]), na)
-            base = sc.weaken(_axiom(na), [na], [Neg(c.child.left), Neg(c.child.right)])
-            lemma = ScProof(ScRule.NEG_AND_R, Sequent.of([na], [c]), (c,), (base,))
-            return sc.cut(p, lemma, na, p.sequent.left, [c]), False
-
-        if r == "neg_and_e":
-            p0 = self._mat(self.go(d.premises[0]), d.premises[0].conclusion)
-            return self._case_split(
-                d, p0, d.premises[0].conclusion,
-                (Neg(d.premises[0].conclusion.child.left),
-                 Neg(d.premises[0].conclusion.child.right)),
-                ScRule.NEG_AND_L)
-
-        if r in ("or_i1", "or_i2"):
-            src = d.premises[0].conclusion
-            p = self._mat(self.go(d.premises[0]), src)
-            lemma = _lemma_or_inj(c.left, c.right, r == "or_i1")
-            return sc.cut(p, lemma, src, p.sequent.left, [c]), False
-
-        if r == "or_e":
-            p0 = self._mat(self.go(d.premises[0]), d.premises[0].conclusion)
-            disj = d.premises[0].conclusion
-            return self._case_split(d, p0, disj, (disj.left, disj.right), ScRule.OR_L)
-
-        if r == "neg_or_i":
-            na, nb = d.premises[0].conclusion, d.premises[1].conclusion
-            p1 = self._mat(self.go(d.premises[0]), na)
-            p2 = self._mat(self.go(d.premises[1]), nb)
-            left = p1.sequent.left | p2.sequent.left
-            w1 = sc.weaken(p1, left, [na])
-            w2 = sc.weaken(p2, left, [nb])
-            return ScProof(ScRule.NEG_OR_R, Sequent(left, frozenset({c})), (c,), (w1, w2)), False
-
-        if r in ("neg_or_e1", "neg_or_e2"):
-            src = d.premises[0].conclusion
-            p = self._mat(self.go(d.premises[0]), src)
-            lemma = _lemma_neg_or_out(src.child.left, src.child.right, r == "neg_or_e1")
-            return sc.cut(p, lemma, src, p.sequent.left, [c]), False
-
-        if r == "neg_neg_i":
-            p = self._mat(self.go(d.premises[0]), d.premises[0].conclusion)
-            return ScProof(ScRule.NEG_NEG_R, Sequent(p.sequent.left, frozenset({c})),
-                           (c,), (p,)), False
-
-        if r == "neg_neg_e":
-            src = d.premises[0].conclusion
-            p = self._mat(self.go(d.premises[0]), src)
-            lemma = _lemma_nn_out(c)
+        prems = [q.conclusion for q in d.premises]
+        ps = [self._mat(pair, f) for pair, f in zip(results, prems)]
+        rule = _SC_RULE.get(r)
+        if rule in _ND_INTRO and len(_ND_INTRO[rule]) == 1:
+            left = frozenset().union(*(p.sequent.left for p in ps))
+            ws = tuple(sc.weaken(p, left, [f]) for p, f in zip(ps, prems))
+            return ScProof(rule, Sequent(left, frozenset({c})), (c,), ws), False
+        if rule in (ScRule.OR_L, ScRule.NEG_AND_L):
+            return self._case_split(d, ps[0], results, rule)
+        if rule is not None:
+            (src,), (p,) = prems, ps
+            lemma = (sc._lemma(rule, src, c) if rule in _ND_ELIM
+                     else sc._lemma(rule, c, src))
             return sc.cut(p, lemma, src, p.sequent.left, [c]), False
 
         if r == "box_i_star":
-            return self._box_i_star(d)
-
-        if r == "box_e":
-            src = d.premises[0].conclusion
-            p = self._mat(self.go(d.premises[0]), src)
-            lemma = _lemma_box_out(c)
-            return sc.cut(p, lemma, src, p.sequent.left, [c]), False
-
-        if r == "neg_box_i":
-            p = self._mat(self.go(d.premises[0]), d.premises[0].conclusion)
-            return ScProof(ScRule.NEG_BOX_R2, Sequent(p.sequent.left, frozenset({c})),
-                           (c,), (p,)), False
-
+            return self._box_i_star(d, ps)
         if r == "neg_box_e":
-            phi = d.premises[1].conclusion
-            nb = d.premises[0].conclusion
-            p0 = self._mat(self.go(d.premises[0]), nb)
-            p1 = self._mat(self.go(d.premises[1]), phi)
+            (nb, phi), (p0, p1) = prems, ps
             left = p0.sequent.left | p1.sequent.left
             conj_box = And(phi, nb)
             w0 = sc.weaken(p0, left, [nb])
@@ -900,50 +748,36 @@ class _ToSc:
             conj_plain = And(phi, Neg(phi))
             eq = _lemma_box_vs_plain(phi)
             to_plain = sc.cut(both, eq, conj_box, left, [conj_plain])
-            drop = _lemma_and_proj(phi, Neg(phi), first=False)
+            drop = sc._lemma(ScRule.AND_L, conj_plain, Neg(phi))
             return sc.cut(to_plain, drop, conj_plain, left, [Neg(phi)]), False
-
         if r == "bot_i":
-            src = d.premises[0].conclusion
-            p = self._mat(self.go(d.premises[0]), src)
+            (src,), (p,) = prems, ps
             lemma = sc.falsum_proof(src.right.child)
             return sc.cut(p, lemma, src, p.sequent.left, []), True
-
-        if r == "bot_e":
-            proof, empty = self.go(d.premises[0])
-            if not empty:
-                raise NdTranslationError(
-                    "falsum obtained from a bare hypothesis cannot be expressed "
-                    "in the sequent calculus")
-            if c is BOT:
-                return proof, True
-            return sc.weaken(proof, proof.sequent.left, [c]), False
-
         raise NdTranslationError(f"unknown rule {r!r}")
 
-    def _case_split(self, d: NDDeduction, p0: ScProof, main: Formula,
-                    cases: tuple[Formula, Formula], rule: ScRule,
+    def _case_split(self, d: NDDeduction, p0: ScProof,
+                    results: list[tuple[ScProof, bool]], rule: ScRule,
                     ) -> tuple[ScProof, bool]:
         c = d.conclusion
-        pair1 = self.go(d.premises[1])
-        pair2 = self.go(d.premises[2])
+        main = d.premises[0].conclusion
+        (a,), (b,) = _added(rule, main)
+        pair1, pair2 = results[1], results[2]
         empty = pair1[1] and pair2[1]
         right: list[Formula] = [] if empty else [c]
         q1 = pair1[0] if empty else self._mat(pair1, c)
         q2 = pair2[0] if empty else self._mat(pair2, c)
-        a, b = cases
         left = (p0.sequent.left | (q1.sequent.left - {a}) | (q2.sequent.left - {b}))
         w1 = sc.weaken(q1, left | {a}, right)
         w2 = sc.weaken(q2, left | {b}, right)
         node = ScProof(rule, Sequent(left | {main}, frozenset(right)), (main,), (w1, w2))
         return sc.cut(p0, node, main, left, right), empty
 
-    def _box_i_star(self, d: NDDeduction) -> tuple[ScProof, bool]:
+    def _box_i_star(self, d: NDDeduction, ps: list[ScProof]) -> tuple[ScProof, bool]:
         c = d.conclusion
         psi, boxed = c.left, c.right
         a = boxed.child
-        p0 = self._mat(self.go(d.premises[0]), d.premises[0].conclusion)
-        p1 = self._mat(self.go(d.premises[1]), psi)
+        p0, p1 = ps
         disj = d.premises[0].conclusion  # psi | a
         left = p0.sequent.left | (p1.sequent.left - {Neg(a)})
         # split psi | a into psi, a

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, Iterator, Optional
 
-__all__ = ["Path", "CheckError", "passes", "walk", "to_json", "from_json", "render"]
+__all__ = ["Path", "CheckError", "passes", "walk", "fold", "to_json", "from_json", "render"]
 
 Path = tuple[int, ...]   # premise indices from the root down to a node
 
@@ -63,6 +63,20 @@ def walk(root: Any, premises: Callable[[Any], Any] = attrgetter("premises"),
                     push((children[i], path + (i,), True))
             else:
                 yield node, path, False
+
+
+def fold(root: Any, combine: Callable[[Any, list], Any]) -> Any:
+    """Bottom-up: ``combine(node, results)`` on each node's exit from
+    ``walk``, with the results of its premises in order, once per
+    occurrence and in the order of a recursive post-order walk."""
+    done: list[Any] = []
+    for node, _, entering in walk(root):
+        if not entering:
+            start = len(done) - len(node.premises)
+            result = combine(node, done[start:])
+            del done[start:]
+            done.append(result)
+    return done[0]
 
 
 def to_json(root: Any) -> dict:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .algebra import Algebra, m4_algebra, product_algebra
 from .matrix import (_apply2, _constant, _first_valuation, _leq_mask,
                      _value_planes)
-from .proofs import CheckError, from_json, passes, render, to_json, walk
+from .proofs import CheckError, fold, from_json, passes, render, to_json, walk
 from .search import Step, decide
 from .sequents import Sequent, render_sequent
 from .syntax import And, Box, Formula, Neg, Or, Var, formula_key, parse
@@ -361,18 +361,16 @@ def cut(p_right: ScProof, p_left: ScProof, chi: Formula,
     return ScProof(ScRule.CUT, Sequent(left, right), (chi,), (p1, p2))
 
 
-def double_neg_intro(alpha: Formula) -> ScProof:
-    """Proof of alpha => ~~alpha."""
-    base = axiom([alpha], [alpha])
-    seq = Sequent.of([alpha], [Neg(Neg(alpha))])
-    return ScProof(ScRule.NEG_NEG_R, seq, (Neg(Neg(alpha)),), (base,))
-
-
-def double_neg_elim(alpha: Formula) -> ScProof:
-    """Proof of ~~alpha => alpha."""
-    base = axiom([alpha], [alpha])
-    seq = Sequent.of([Neg(Neg(alpha))], [alpha])
-    return ScProof(ScRule.NEG_NEG_L, seq, (Neg(Neg(alpha)),), (base,))
+def _lemma(rule: ScRule, pi: Formula, x: Formula) -> ScProof:
+    """The one-rule proof of pi => x, for a left rule, or of x => pi, for
+    a right rule, over the axiom x => x weakened by the rule's additions."""
+    schema = _SCHEMAS[rule]
+    ((dl, dr),) = schema.deltas(schema.parts(pi))
+    if schema.side == "L":
+        base, seq = weaken(axiom([x], [x]), dl, [x, *dr]), Sequent.of([pi], [x])
+    else:
+        base, seq = weaken(axiom([x], [x]), [x, *dl], dr), Sequent.of([x], [pi])
+    return ScProof(rule, seq, (pi,), (base,))
 
 
 def falsum_proof(alpha: Formula) -> ScProof:
@@ -390,13 +388,23 @@ def _neg_set(fs: frozenset[Formula]) -> frozenset[Formula]:
 
 # ---------------------------------------------------------------------------
 # Contraposition: from a cut-free proof of G => D build a proof of
-# ~D => ~G.  The |, &, ~~ cases commute directly; the cases that move a
-# formula across ~~ use the closed proofs of a => ~~a and ~~a => a plus
-# cut, and the box cases re-enter through the dual box rule.
+# ~D => ~G, node by node from the leaves.  Each logical rule turns into its
+# partner below on the other side.  The partner applies to ~pi, or, when pi
+# is itself a negation ~x that the partner cannot take as ~~x, to x and
+# then ~~.  Where a rule adds the negation ~a of a part a of pi, the
+# contraposed premise holds ~~a, which a cut against ~~a => a or
+# a => ~~a turns back into a.
+
+_PARTNERS = ((ScRule.OR_R, ScRule.NEG_OR_L), (ScRule.OR_L, ScRule.NEG_OR_R),
+             (ScRule.AND_L, ScRule.NEG_AND_R), (ScRule.AND_R, ScRule.NEG_AND_L),
+             (ScRule.NEG_NEG_L, ScRule.NEG_NEG_R), (ScRule.BOX_L1, ScRule.NEG_BOX_R2),
+             (ScRule.BOX_L2, ScRule.NEG_BOX_R1), (ScRule.BOX_R, ScRule.NEG_BOX_L))
+_PARTNER = {**dict(_PARTNERS), **{b: a for a, b in _PARTNERS}}
+
 
 def contrapose(p: ScProof, rederive_cutfree: bool = False) -> ScProof:
     verify_sc_proof(p, allow_cut=False)
-    result = _contrapose(p)
+    result = fold(p, _contrapose)
     if rederive_cutfree:
         reproved = prove(result.sequent)
         if reproved is None:
@@ -417,116 +425,56 @@ def _apply(rule: ScRule, conclusion: Sequent, principal: Formula,
     return ScProof(rule, conclusion, (principal,), prems)
 
 
-def _replace_nn_right(q: ScProof, alpha: Formula) -> ScProof:
-    """From a proof of G => D, ~~a derive G => (D - ~~a), a via cut."""
+def _unnegate(q: ScProof, alpha: Formula, side: str) -> ScProof:
+    """From a proof of G => D with ~~a on the given side, the proof with
+    a in its place, by a cut."""
     nn = Neg(Neg(alpha))
-    left = q.sequent.left
-    right = (q.sequent.right - {nn}) | {alpha}
-    return cut(q, double_neg_elim(alpha), nn, left, right)
+    left, right = q.sequent.left, q.sequent.right
+    if side == "R":
+        return cut(q, _lemma(ScRule.NEG_NEG_L, nn, alpha), nn, left, (right - {nn}) | {alpha})
+    return cut(_lemma(ScRule.NEG_NEG_R, nn, alpha), q, nn, (left - {nn}) | {alpha}, right)
 
 
-def _replace_nn_left(q: ScProof, alpha: Formula) -> ScProof:
-    """From a proof of G, ~~a => D derive G - ~~a, a => D via cut."""
-    nn = Neg(Neg(alpha))
-    left = (q.sequent.left - {nn}) | {alpha}
-    right = q.sequent.right
-    return cut(double_neg_intro(alpha), q, nn, left, right)
+@cache
+def _double_negated(rule: ScRule) -> tuple[tuple[tuple[int, str], ...], ...]:
+    """Per premise of a logical rule, the parts a of the principal whose
+    ~~a the contraposed premise holds, by index, each with its side:
+    the parts the rule adds negated, on the other side."""
+    schema = _SCHEMAS[rule]
+    letters = schema.parts(_shape(schema))
+    return tuple(tuple((letters.index(f.child), side)
+                       for side, fs in (("R", dl), ("L", dr)) for f in fs
+                       if isinstance(f, Neg) and f.child in letters)
+                 for dl, dr in schema.deltas(letters))
 
 
-def _contrapose(node: ScProof) -> ScProof:
+def _contrapose(node: ScProof, subs: list[ScProof]) -> ScProof:
     seq = node.sequent
     target = Sequent(_neg_set(seq.right), _neg_set(seq.left))
-
     if node.rule is ScRule.AXIOM:
         (alpha,) = node.principal
         return ScProof(ScRule.AXIOM, target, (Neg(alpha),))
-
     if node.rule in (ScRule.WEAK_L, ScRule.WEAK_R):
-        return weaken(_contrapose(node.premises[0]), target.left, target.right)
-
+        return weaken(subs[0], target.left, target.right)
     if node.rule is ScRule.CUT:
         raise ValueError("contrapose requires a cut-free proof")
 
     (pi,) = node.principal
     parts = _SCHEMAS[node.rule].parts(pi)
-    subs = [_contrapose(q) for q in node.premises]
-    npi = Neg(pi)
-
-    if node.rule is ScRule.OR_R:
-        return _apply(ScRule.NEG_OR_L, target, npi, subs)
-    if node.rule is ScRule.OR_L:
-        return _apply(ScRule.NEG_OR_R, target, npi, subs)
-    if node.rule is ScRule.AND_L:
-        return _apply(ScRule.NEG_AND_R, target, npi, subs)
-    if node.rule is ScRule.AND_R:
-        return _apply(ScRule.NEG_AND_L, target, npi, subs)
-
-    if node.rule is ScRule.NEG_OR_L:
-        a, b = parts
-        q = _replace_nn_right(_replace_nn_right(subs[0], a), b)
-        inner = Or(a, b)
-        step = _apply(ScRule.OR_R, Sequent(target.left, target.right | {inner}), inner, [q])
-        return _apply(ScRule.NEG_NEG_R, target, npi, [step])
-    if node.rule is ScRule.NEG_AND_R:
-        a, b = parts
-        q = _replace_nn_left(_replace_nn_left(subs[0], a), b)
-        inner = And(a, b)
-        step = _apply(ScRule.AND_L, Sequent(target.left | {inner}, target.right), inner, [q])
-        return _apply(ScRule.NEG_NEG_L, target, npi, [step])
-    if node.rule is ScRule.NEG_OR_R:
-        a, b = parts
-        q1 = _replace_nn_left(subs[0], a)
-        q2 = _replace_nn_left(subs[1], b)
-        inner = Or(a, b)
-        step = _apply(ScRule.OR_L, Sequent(target.left | {inner}, target.right),
-                      inner, [q1, q2])
-        return _apply(ScRule.NEG_NEG_L, target, npi, [step])
-    if node.rule is ScRule.NEG_AND_L:
-        a, b = parts
-        q1 = _replace_nn_right(subs[0], a)
-        q2 = _replace_nn_right(subs[1], b)
-        inner = And(a, b)
-        step = _apply(ScRule.AND_R, Sequent(target.left, target.right | {inner}),
-                      inner, [q1, q2])
-        return _apply(ScRule.NEG_NEG_R, target, npi, [step])
-
-    if node.rule is ScRule.NEG_NEG_L:
-        return _apply(ScRule.NEG_NEG_R, target, npi, subs)
-    if node.rule is ScRule.NEG_NEG_R:
-        return _apply(ScRule.NEG_NEG_L, target, npi, subs)
-
-    if node.rule is ScRule.BOX_L1:
-        return _apply(ScRule.NEG_BOX_R2, target, npi, subs)
-    if node.rule is ScRule.BOX_L2:
-        (a,) = parts
-        q = _replace_nn_left(subs[0], a)
-        return _apply(ScRule.NEG_BOX_R1, target, npi, [q])
-    if node.rule is ScRule.BOX_R:
-        (a,) = parts
-        q1 = _replace_nn_right(subs[1], a)  # ~D => ~G..., a
-        return _apply(ScRule.NEG_BOX_L, target, npi, [q1, subs[0]])
-    if node.rule is ScRule.NEG_BOX_L:
-        (a,) = parts
-        q1 = _replace_nn_right(subs[1], a)
-        inner = Box(a)
-        step = _apply(ScRule.BOX_R, Sequent(target.left, target.right | {inner}),
-                      inner, [q1, subs[0]])
-        return _apply(ScRule.NEG_NEG_R, target, npi, [step])
-    if node.rule is ScRule.NEG_BOX_R1:
-        (a,) = parts
-        inner = Box(a)
-        step = _apply(ScRule.BOX_L2, Sequent(target.left | {inner}, target.right),
-                      inner, subs)
-        return _apply(ScRule.NEG_NEG_L, target, npi, [step])
-    if node.rule is ScRule.NEG_BOX_R2:
-        (a,) = parts
-        q = _replace_nn_left(subs[0], a)
-        inner = Box(a)
-        step = _apply(ScRule.BOX_L1, Sequent(target.left | {inner}, target.right),
-                      inner, [q])
-        return _apply(ScRule.NEG_NEG_L, target, npi, [step])
-
-    raise AssertionError(f"unhandled rule {node.rule}")
+    for i, double_negated in enumerate(_double_negated(node.rule)):
+        for k, side in double_negated:
+            subs[i] = _unnegate(subs[i], parts[k], side)
+    if node.rule in (ScRule.BOX_R, ScRule.NEG_BOX_L):
+        subs.reverse()   # the partner takes the premise adding a first
+    partner = _PARTNER[node.rule]
+    if _SCHEMAS[partner].parts(Neg(pi)) is not None:
+        return _apply(partner, target, Neg(pi), subs)
+    inner = pi.child
+    if _SCHEMAS[partner].side == "L":
+        step = _apply(partner, Sequent(target.left | {inner}, target.right), inner, subs)
+        return _apply(ScRule.NEG_NEG_L, target, Neg(pi), [step])
+    step = _apply(partner, Sequent(target.left, target.right | {inner}), inner, subs)
+    return _apply(ScRule.NEG_NEG_R, target, Neg(pi), [step])
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +538,15 @@ _SHAPES = (Or(_A, _B), And(_A, _B), Neg(Or(_A, _B)), Neg(And(_A, _B)),
            Neg(Neg(_A)), Box(_A), Neg(Box(_A)))
 
 
+def _shape(schema: _Schema) -> Formula:
+    """The principal shape of a logical rule over the letters a and b."""
+    return next(f for f in _SHAPES if schema.parts(f) is not None)
+
+
 def _instance(schema: _Schema) -> tuple[list[tuple[list, list]], tuple[list, list]]:
     """A logical rule as (premises, conclusion), each a pair of formula
     lists: its principal shape over a and b in the contexts g and d."""
-    pi = next(f for f in _SHAPES if schema.parts(f) is not None)
+    pi = _shape(schema)
     premises = [([_G, *dl], [_D, *dr]) for dl, dr in schema.deltas(schema.parts(pi))]
     conclusion = ([_G, pi], [_D]) if schema.side == "L" else ([_G], [_D, pi])
     return premises, conclusion

@@ -299,45 +299,51 @@ class _Parser:
         return self.next()
 
     def formula(self) -> Formula:
-        f = self.conj()
-        while self.peek().kind == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
+        """formula := conj ('|' conj)*, conj := unary ('&' unary)*,
+        unary := ('~' | '#')* atom, atom := ident | 'bot' | '(' formula ')'.
 
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "&":
+        A loop over the tokens: each open parenthesis saves the state of
+        the enclosing formula, its disjunction and conjunction so far and
+        the prefixes before the parenthesis, on a stack."""
+        outer: list[tuple] = []
+        disj = conj = None
+        prefixes: list[str] = []
+        while True:
+            t = self.next()
+            while t.kind in ("~", "#"):
+                prefixes.append(t.kind)
+                t = self.next()
+            if t.kind == "(":
+                outer.append((disj, conj, prefixes))
+                disj = conj = None
+                prefixes = []
+                continue
+            if t.kind == "ident":
+                f = Var(t.value)
+            elif t.kind == "bot":
+                f = BOT
+            else:
+                raise SyntaxError_(
+                    f"expected a variable, 'bot' or '(', found {t.value or 'end of input'!r}",
+                    t.line, t.column)
+            while True:   # f is an atom: close every formula that ends after it
+                for op in reversed(prefixes):
+                    f = Neg(f) if op == "~" else Box(f)
+                conj = f if conj is None else And(conj, f)
+                kind = self.peek().kind
+                if kind == "&":
+                    break
+                disj = conj if disj is None else Or(disj, conj)
+                if kind == "|":
+                    conj = None
+                    break
+                if not outer:
+                    return disj
+                self.expect(")")
+                f = disj
+                disj, conj, prefixes = outer.pop()
             self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        t = self.peek()
-        if t.kind == "~":
-            self.next()
-            return Neg(self.unary())
-        if t.kind == "#":
-            self.next()
-            return Box(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        t = self.peek()
-        if t.kind == "ident":
-            self.next()
-            return Var(t.value)
-        if t.kind == "bot":
-            self.next()
-            return BOT
-        if t.kind == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
-        raise SyntaxError_(
-            f"expected a variable, 'bot' or '(', found {t.value or 'end of input'!r}",
-            t.line, t.column)
+            prefixes = []
 
 
 def parse(text: str) -> Formula:
@@ -386,19 +392,26 @@ class FormulaTemplate:
 
 
 def substitute(template: FormulaTemplate, target: Formula) -> Formula:
-    """Replace every occurrence of the placeholder p by target."""
-    def go(f: Formula) -> Formula:
-        if isinstance(f, Var):
-            return target if f is PLACEHOLDER else f
-        if isinstance(f, Bot):
-            return f
-        if isinstance(f, Neg):
-            return Neg(go(f.child))
-        if isinstance(f, Box):
-            return Box(go(f.child))
-        if isinstance(f, And):
-            return And(go(f.left), go(f.right))
-        assert isinstance(f, Or)
-        return Or(go(f.left), go(f.right))
-
-    return go(template.body)
+    """Replace every occurrence of the placeholder p by target: a
+    post-order with an explicit stack, each distinct subformula once."""
+    done: dict[Formula, Formula] = {PLACEHOLDER: target}
+    stack = [template.body]
+    while stack:
+        f = stack.pop()
+        if f in done:
+            continue
+        if isinstance(f, (Neg, Box)):
+            child = done.get(f.child)
+            if child is None:
+                stack += (f, f.child)
+                continue
+            done[f] = type(f)(child)
+        elif isinstance(f, (And, Or)):
+            left, right = done.get(f.left), done.get(f.right)
+            if left is None or right is None:
+                stack += (f, f.right, f.left)
+                continue
+            done[f] = type(f)(left, right)
+        else:
+            done[f] = f
+    return done[template.body]

@@ -38,13 +38,20 @@ class TestBasics:
         assert run(["consequence", "p => #p"]) == 1
         assert run(["consequence", "p & q => p", "--relation", "degree"]) == 0
 
-    def test_internal_failure_exits_2_not_1(self, capsys):
-        # nesting this deep exhausts the recursion limit of the parser;
-        # that must not read as "not valid"
-        assert run(["valid", "~" * 1200 + "p"]) == 2
+    def test_internal_failure_exits_2_not_1(self, capsys, monkeypatch):
+        # an internal failure, such as the recursion limit, must not read
+        # as "not valid"
+        def exhausted(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr("tml.cli.matrix_consequence", exhausted)
+        assert run(["valid", "p | ~#p"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "not valid" not in captured.out
+
+    def test_deep_nesting_is_decided(self, capout):
+        assert run(["valid", "~" * 1200 + "p"]) == 1
+        assert capout() == "not valid"
 
     def test_countermodel_two_arguments(self, capout):
         assert run(["countermodel", "", "p | ~p"]) == 1
@@ -237,6 +244,19 @@ class TestGenRules:
             "1": {"n_side": ["~p"], "d_side": ["p"]},
         }))
         assert run(["gen-rules", "--stage", "two", "--spec", str(path)]) == 2
+
+    def test_spec_with_a_deep_template(self, tmp_path, capsys):
+        # substituting into a template 3000 conjunctions deep
+        deep = " & ".join(["p"] * 3000)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "0": {"n_side": ["p"], "d_side": ["~p"]},
+            "n": {"n_side": ["p", "~p"], "d_side": []},
+            "b": {"n_side": [], "d_side": ["p", "~p"]},
+            "1": {"n_side": ["~p"], "d_side": ["p", deep]},
+        }))
+        assert run(["gen-rules", "--stage", "two", "--spec", str(path)]) == 0
+        assert "error" not in capsys.readouterr().err
 
 
 class TestProbeCut:

@@ -1,0 +1,137 @@
+"""No function of the package may call itself, directly or through other
+functions of its module: recursion caps proof height, formula depth and
+side width at the interpreter's recursion limit.  The call graph is read
+from the source with ``ast``; it links calls of plain names, resolved
+through the enclosing scopes, and calls of ``self.<method>``."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tml"
+
+# Cycles allowed, by the qualified names of their functions, with the reason.
+ALLOWED = {
+    frozenset({"gcalc._bounded_search.search"}):
+        "the bounded G search recurses to its height bound; its rewrite is "
+        "open work, and `tml prove --calculus g --depth 5000` on 1200 "
+        "conjunctions still ends in exit 2 with RecursionError",
+}
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own(node: ast.AST) -> list[ast.AST]:
+    """The nodes under node, down to nested functions and classes but not
+    into them."""
+    out, stack = [], list(ast.iter_child_nodes(node))
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        if not isinstance(n, (*_DEFS, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def _call_graph(module: str, tree: ast.Module) -> dict[str, set[str]]:
+    """Qualified function name -> the qualified names it calls."""
+    graph: dict[str, set[str]] = {}
+    # (node, its qualified name, the functions visible by name, the methods of its class)
+    todo = [(tree, module, {}, {})]
+    while todo:
+        node, qual, scope, methods = todo.pop()
+        own = _own(node)
+        visible = {**scope, **{n.name: f"{qual}.{n.name}" for n in own if isinstance(n, _DEFS)}}
+        for n in own:
+            if isinstance(n, _DEFS):
+                todo.append((n, f"{qual}.{n.name}", visible, methods))
+            elif isinstance(n, ast.ClassDef):
+                defs = [c for c in n.body if isinstance(c, _DEFS)]
+                inner = {c.name: f"{qual}.{n.name}.{c.name}" for c in defs}
+                todo.extend((c, inner[c.name], visible, inner) for c in defs)
+        if not isinstance(node, _DEFS):
+            continue
+        params = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        calls = graph.setdefault(qual, set())
+        for n in own:
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            if isinstance(f, ast.Name) and f.id in visible and f.id not in params:
+                calls.add(visible[f.id])
+            elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                  and f.value.id == "self" and f.attr in methods):
+                calls.add(methods[f.attr])
+    return graph
+
+
+def _cycles(graph: dict[str, set[str]]) -> list[frozenset[str]]:
+    """The strongly connected components that hold a cycle (Tarjan's
+    algorithm, with an explicit stack)."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    out: list[frozenset[str]] = []
+    for root in graph:
+        if root in index:
+            continue
+        work = [(root, iter(sorted(graph.get(root, ()))))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            w = next(it, None)
+            if w is not None:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(graph.get(w, ())))))
+                elif w in on_stack:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                if len(comp) > 1 or v in graph.get(v, ()):
+                    out.append(frozenset(comp))
+    return out
+
+
+def _package_cycles() -> list[frozenset[str]]:
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        graph = _call_graph(path.stem, ast.parse(path.read_text()))
+        out.extend(_cycles(graph))
+    return out
+
+
+def test_no_call_cycles():
+    found = [sorted(c) for c in _package_cycles() if c not in ALLOWED]
+    assert found == []
+
+
+def test_the_guard_sees_recursion():
+    tree = ast.parse(
+        "def f(n):\n    return g(n)\n"
+        "def g(n):\n    return f(n - 1) if n else 0\n"
+        "def h(n):\n    return h(n - 1)\n"
+        "class C:\n"
+        "    def a(self):\n        return self.b()\n"
+        "    def b(self):\n        def inner():\n            return self.a()\n"
+        "        return inner()\n"
+        "def k(f):\n    return f(1)\n"
+        "def outer():\n    if True:\n        def loop():\n            return loop()\n"
+        "    return loop\n")
+    assert sorted(map(sorted, _cycles(_call_graph("m", tree)))) == [
+        ["m.C.a", "m.C.b", "m.C.b.inner"], ["m.f", "m.g"], ["m.h"], ["m.outer.loop"]]

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +49,20 @@ class TestParse:
             parse("p @ q")
         with pytest.raises(SyntaxError_):
             parse("(p | q")
+
+    def test_deep_prefix_runs_and_parentheses(self):
+        f = p
+        for _ in range(3000):
+            f = Neg(f)
+        assert parse("~" * 3000 + "p") is f
+        assert parse("(" * 3000 + "p" + ")" * 3000) is p
+        g = p
+        for i in range(1500):
+            g = Box(Or(g, q)) if i % 2 else Neg(And(q, g))
+        assert parse(g.text) is g
+        with pytest.raises(SyntaxError_) as exc:
+            parse("(" * 3000 + "p" + ")" * 2999)
+        assert str(exc.value) == "expected ')', found 'end of input' at line 1, column 6001"
 
     def test_bot_reserved(self):
         assert parse("bot") is BOT
@@ -99,6 +116,11 @@ class TestSubstitute:
     def test_under_box(self):
         assert substitute(FormulaTemplate(Neg(p)), Box(q)) is Neg(Box(q))
 
+    def test_binary_and_shared(self):
+        # operand order is kept, and the shared subformula ~p is built once
+        t = FormulaTemplate(parse("(p | ~p) & #~p & bot"))
+        assert substitute(t, q) is parse("(q | ~q) & #~q & bot")
+
     def test_rejects_other_variables(self):
         with pytest.raises(ValueError):
             FormulaTemplate(Or(p, q))
@@ -127,3 +149,41 @@ class TestClosure:
            st.sets(formulas(max_leaves=4), max_size=2))
     def test_monotone_in_argument(self, a, b):
         assert closure(a) <= closure(a | b)
+
+
+def _parse_outcomes():
+    """What parse makes of seeded inputs, most of them malformed: random
+    token strings, and well-formed formulas with one character deleted,
+    inserted or swapped.  Each outcome is the rendering or the error
+    message with its line and column."""
+    rng = random.Random(23)
+    pieces = ["p", "q", "bot", "~", "#", "&", "|", "(", ")", " ", "\n", "¬", "∨",
+              "@", "x1"]
+    inputs = ["".join(rng.choice(pieces) for _ in range(rng.randrange(0, 9)))
+              for _ in range(400)]
+    valid = ["p | ~#p", "~(p & q) | #(r | ~q)", "((p))", "#~#~p & (q | bot)",
+             "p\n& ~q\n| #(r &\n~p)"]
+    for _ in range(400):
+        s = rng.choice(valid)
+        i = rng.randrange(len(s) + 1)
+        c = rng.choice(pieces)
+        s = rng.choice([s[:i] + s[i + 1:], s[:i] + c + s[i:], s[:i] + c + s[i + 1:]])
+        inputs.append(s)
+    out = []
+    for s in inputs:
+        try:
+            out.append(f"{s!r} -> {parse(s).text}")
+        except SyntaxError_ as e:
+            out.append(f"{s!r} !! {e} ({e.line}, {e.column})")
+    return out
+
+
+# sha256 over the outcomes above, one line each
+PARSE_OUTCOMES_FINGERPRINT = "3e8b2239066f6328dcb598b6f034ba7abc9eaf8c6933dcf612ffc38a39afa68a"
+
+
+def test_parse_outcomes_fingerprint():
+    outcomes = _parse_outcomes()
+    assert sum(" !! " in o for o in outcomes) > 500
+    got = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert got == PARSE_OUTCOMES_FINGERPRINT, got

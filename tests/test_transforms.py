@@ -1,0 +1,155 @@
+"""The proof transformations on a fixed seeded corpus, and on proofs far
+taller or wider than the interpreter's recursion limit."""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from tml import sc
+from tml.nd import (NDDeduction, hyp, nd_to_json, nd_to_sc, render_nd, sc_to_nd,
+                    verify_nd)
+from tml.proofs import walk
+from tml.sc import (ScRule, contrapose, necessitate, proof_to_json, prove, render_proof,
+                    verify_sc_proof)
+from tml.sequents import Sequent
+from tml.syntax import And, Box, Neg, Or, Var
+
+
+def _corpus(pool_by_count):
+    """Proofs by ``sc.prove`` of seeded sequents over formulas with at most
+    three connectives, and every fourth of them weakened by one formula
+    on each side, so that the transforms meet weak_l and weak_r."""
+    pool = [f for c in range(4) for f in pool_by_count[c]]
+    rng = random.Random(11)
+    proofs: list = []
+    while len(proofs) < 160:
+        seq = Sequent.of(rng.sample(pool, rng.randrange(0, 3)),
+                         rng.sample(pool, rng.randrange(1, 3)))
+        pr = prove(seq)
+        if pr is not None:
+            proofs.append(pr)
+    weakened = [sc.weaken(pr, pr.sequent.left | {rng.choice(pool)},
+                          pr.sequent.right | {rng.choice(pool)})
+                for pr in proofs[::4]]
+    return proofs, weakened
+
+
+def _theorems(pool_by_count):
+    """Proofs of => psi for the necessitation corpus: random sampling
+    draws almost no theorems, so they are built on purpose."""
+    pool = [f for c in range(3) for f in pool_by_count[c]]
+    rng = random.Random(12)
+    out = []
+    for f in rng.sample(pool, 40):
+        for psi in (Or(f, Neg(Box(f))), Box(Or(f, Neg(Box(f))))):
+            out.append(prove(Sequent.of([], [psi])))
+    return out
+
+
+def _digest(items, to_json, render) -> str:
+    h = hashlib.sha256()
+    for x in items:
+        h.update(json.dumps(to_json(x), indent=2).encode() + b"\n")
+        h.update(render(x).encode() + b"\n")
+    return h.hexdigest()
+
+
+# sha256 over the JSON (indented, key order included) and the text of the
+# transformed proofs of the corpora above.
+CONTRAPOSE_FINGERPRINT = "24b04228b6e9901a6b6a0f1249fa091a48bcfda1464992e446d6188ae81379d8"
+NECESSITATE_FINGERPRINT = "c8b4cade54c2b3c0edfd9a51615b1dc3c3c2d8303926863dd8ac0dde95d8f153"
+ND_ROUND_TRIP_FINGERPRINT = "b36dd7d934d2cb0532465adb35052649b631f726891236f94670d4e5c77fb948"
+SC_TO_ND_WEAKENED_FINGERPRINT = "074df8222846fa60f648f3def3c9e922e8ebbbd65ba6a5d371e72e37e73f8c24"
+
+
+# the sequent rules whose deductions use ~|I, ~#E or ~#I
+_ND_RARE = {ScRule.NEG_OR_R, ScRule.NEG_BOX_L, ScRule.NEG_BOX_R2}
+
+
+@pytest.fixture(scope="module")
+def corpus(pool_by_count):
+    proofs, weakened = _corpus(pool_by_count)
+    return proofs + weakened
+
+
+def test_contrapose_fingerprint(corpus):
+    got = _digest([contrapose(p) for p in corpus], proof_to_json, render_proof)
+    assert got == CONTRAPOSE_FINGERPRINT, got
+
+
+def test_necessitate_fingerprint(pool_by_count):
+    got = _digest([necessitate(p) for p in _theorems(pool_by_count)], proof_to_json, render_proof)
+    assert got == NECESSITATE_FINGERPRINT, got
+
+
+def test_nd_round_trip_fingerprint(corpus):
+    # every fourth proof, and the six smallest that use a rule the
+    # reverse translation meets only through them; indented JSON of the
+    # whole corpus would take seconds
+    rare = sorted((p for p in corpus
+                   if {n.rule for n, _, _ in walk(p)} & _ND_RARE), key=sc.proof_size)
+    chosen = corpus[::4] + rare[:6]
+    got = _digest([nd_to_sc(sc_to_nd(p)) for p in chosen], proof_to_json, render_proof)
+    assert got == ND_ROUND_TRIP_FINGERPRINT, got
+
+
+def test_sc_to_nd_weakened_fingerprint(pool_by_count):
+    _, weakened = _corpus(pool_by_count)
+    got = _digest([sc_to_nd(p) for p in weakened], nd_to_json, render_nd)
+    assert got == SC_TO_ND_WEAKENED_FINGERPRINT, got
+
+
+# ---------------------------------------------------------------------------
+# Proofs past the recursion limit: every result goes to its checker.
+
+def _height(root) -> int:
+    return max(len(path) for _, path, _ in walk(root)) + 1
+
+
+@pytest.fixture(scope="module")
+def chain_proof():
+    """The proof sc.prove finds for p & q & ... & q => p, 1201 nodes high."""
+    p, q = Var("p"), Var("q")
+    conj = p
+    for _ in range(1200):
+        conj = And(conj, q)
+    proof = prove(Sequent.of([conj], [p]))
+    assert _height(proof) == 1201
+    return proof
+
+
+def test_contrapose_of_a_tall_proof(chain_proof):
+    result = contrapose(chain_proof)
+    verify_sc_proof(result, allow_cut=True)
+    assert result.sequent == Sequent(frozenset({Neg(Var("p"))}),
+                                     frozenset(Neg(f) for f in chain_proof.sequent.left))
+
+
+def test_sc_to_nd_of_a_tall_proof(chain_proof):
+    d = sc_to_nd(chain_proof)
+    assert d.conclusion is Var("p")
+    assert verify_nd(d) <= chain_proof.sequent.left
+
+
+def test_sc_to_nd_of_a_wide_sequent():
+    z = Var("z")
+    xs = [Var(f"x{i}") for i in range(1200)]
+    proof = prove(Sequent.of([z], xs + [z]))
+    d = sc_to_nd(proof)
+    assert verify_nd(d) == {z}
+    assert _height(d) > 1000
+
+
+def test_nd_to_sc_of_a_tall_deduction():
+    """and_i then and_e1, 1500 times over: a deduction of p from p and q
+    3001 nodes high."""
+    p, q = Var("p"), Var("q")
+    d = hyp(p, "u")
+    for _ in range(1500):
+        d = NDDeduction("and_e1", p, (NDDeduction("and_i", And(p, q), (d, hyp(q, "v"))),))
+    assert _height(d) == 3001
+    proof = nd_to_sc(d)
+    verify_sc_proof(proof, allow_cut=True)
+    assert proof.sequent == Sequent.of([p, q], [p])
