@@ -58,6 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=12,
                    help="height bound for the cut-free G search")
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--stats", action="store_true",
+                   help="print what the G search did on stderr")
 
     p = sub.add_parser("check", help="check a proof file")
     p.add_argument("file")
@@ -78,6 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="p")
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--stats", action="store_true",
+                   help="print what the G search did on stderr")
 
     return ap
 
@@ -147,6 +151,8 @@ def _print_proof(proof, fmt: str) -> int:
 
 def _cmd_prove(args) -> int:
     seq = parse_sequent(args.sequent)
+    if args.stats and args.calculus != "g":
+        raise _CliError("--stats is available for the G search only")
     if args.calculus == "sc":
         proof = sc.prove(seq)
         if proof is None:
@@ -157,7 +163,10 @@ def _cmd_prove(args) -> int:
         if len(seq.right) != 1:
             raise _CliError("the G calculus is single-conclusion")
         (phi,) = seq.right
-        proof = gcalc.g_search_cutfree(gcalc.GSequent(seq.left, phi), args.depth)
+        stats = gcalc.GSearchStats()
+        proof = gcalc.g_search_cutfree(gcalc.GSequent(seq.left, phi), args.depth, stats)
+        if args.stats:
+            print(f"stats: {stats}", file=sys.stderr)
         if proof is None:
             print(f"no cut-free proof within height {args.depth}")
             return EXIT_NO
@@ -240,6 +249,8 @@ def _cmd_gen_rules(args) -> int:
 def _cmd_probe_cut(args) -> int:
     alpha = parse(args.alpha)
     report = gcalc.cut_necessity_probe(alpha, args.depth)
+    if args.stats:
+        print(f"stats: {report.stats}", file=sys.stderr)
     if args.format == "json":
         print(json.dumps({
             "alpha": alpha.text,

@@ -5,8 +5,16 @@ The calculus has the structural axiom a => a, the modal axiom
 definition, including the context-free contraposition rule and the two
 box rules that rewrite ~a to ~#a on the left and a & ~a to a & ~#a on
 the right.  Cut-free backward search is exhaustive up to a height
-bound; it exists to probe which sequents have no cut-free proof, and
-the probe reports whether the bound cut the search off.
+bound; it exists to probe which sequents have no cut-free proof.
+
+G is sound for M4 with designated values b and 1, so the search drops
+every sequent with a countermodel without expanding it, testing each
+on value planes computed once per formula of the goal.  When the bound
+cut no branch off, a miss is exhaustive: the sequents the search failed
+on and those it dropped form a certificate (``GUnprovable``) that
+``verify_g_unprovable`` checks with the pointwise evaluator and its own
+enumeration of rule instances, and the probe reports the miss as
+exhaustive only when that certificate checks.
 """
 
 from __future__ import annotations
@@ -14,18 +22,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .matrix import M4, matrix_consequence
+from .matrix import (M4, MissingVariableError, _first_valuation, _sequent_vars,
+                     _union, _value_planes, matrix_consequence, render_valuation)
 from .proofs import CheckError, from_json, passes, render, to_json, walk
 from .sc import is_cut_free, prove
-from .sequents import Sequent
+from .sequents import Sequent, sequent_satisfied
 from .syntax import And, BOT, Box, Formula, Neg, Or, formula_key, parse
 
 __all__ = [
     "GRule", "GSequent", "GProof", "GCheckError", "check_g_proof",
-    "verify_g_proof", "g_search_cutfree", "cut_necessity_probe",
-    "ProbeReport", "g_proof_to_json", "g_proof_from_json", "render_g_proof",
+    "verify_g_proof", "g_search_cutfree", "GSearchStats", "GUnprovable",
+    "verify_g_unprovable", "cut_necessity_probe", "ProbeReport",
+    "g_proof_to_json", "g_proof_from_json", "render_g_proof",
 ]
 
 
@@ -228,47 +238,251 @@ def _backward_steps(seq: GSequent) -> list[tuple[GRule, list[GSequent]]]:
     return out
 
 
-def _bounded_search(s: GSequent, depth: int) -> tuple[Optional[GProof], bool]:
-    """The bounded search, and whether any branch was cut off at the
-    height bound.  When none was, the whole cut-free search space below
-    s was explored and a miss holds at every height."""
-    failed_at: dict[GSequent, int] = {}
-    bound_hit = False
+class GSearchStats:
+    """What bounded G searches did, summed over the searches given it.
+    A plain class: a dataclass would add a millisecond to every start of
+    the command line."""
 
-    def search(seq: GSequent, budget: int) -> Optional[GProof]:
-        nonlocal bound_hit
+    __slots__ = ("expanded", "memo_hits", "pruned", "validity_memo_hits", "bound_hit")
+
+    def __init__(self) -> None:
+        self.expanded = 0            # sequents whose backward steps were tried
+        self.memo_hits = 0           # sequents settled by the memo of failures
+        self.pruned = 0              # sequents dropped for having a countermodel
+        self.validity_memo_hits = 0  # validity verdicts read from their memo
+        self.bound_hit = False       # some branch was cut off at the height bound
+
+    def __str__(self) -> str:
+        return (f"expanded {self.expanded}, memo hits {self.memo_hits}, "
+                f"pruned {self.pruned}, validity memo hits "
+                f"{self.validity_memo_hits}, bound hit {self.bound_hit}")
+
+
+_DESIGNATED = [i for i, v in enumerate(M4.values) if v in M4.designated]
+# A plane over k variables has 4**k bits, 128 KB at 10: past that the
+# search does not prune, which costs it speed but no proof and no
+# certificate.
+_PRUNE_MAX_VARS = 10
+
+
+class _Refuter:
+    """The valuations that refute a G sequent, as a bitmask over the
+    valuations of the goal's variables: bit j stands for valuation j of
+    ``valuations(names)``.  Every sequent of a search is built from the
+    goal's subformulas, their negations and ``a & ~a``, so it has no
+    other variables.  Each formula's planes are computed once, on first
+    use, extending those of the formulas before it.  A goal with more
+    than ``_PRUNE_MAX_VARS`` variables gets 0, no refuting valuation,
+    for every sequent."""
+
+    def __init__(self, goal: GSequent):
+        self.names = sorted(_sequent_vars(goal.left, [goal.right]))
+        self.prunes = len(self.names) <= _PRUNE_MAX_VARS
+        self.full = (1 << len(M4.values) ** len(self.names)) - 1
+        self.tables = M4.tables()
+        self.planes: dict[Formula, tuple[int, ...]] = {}
+        self.masks: dict[Formula, int] = {}   # where each formula is designated
+
+    def _mask(self, f: Formula) -> int:
+        x = _value_planes([f], self.names, M4.values, self.tables, self.planes)[0]
+        mask = self.masks[f] = _union(x, _DESIGNATED)
+        return mask
+
+    def __call__(self, seq: GSequent) -> int:
+        if not self.prunes:
+            return 0
+        masks = self.masks
+        out = self.full
+        for f in seq.left:
+            mask = masks.get(f)
+            out &= self._mask(f) if mask is None else mask
+        mask = masks.get(seq.right)
+        return out & ~(self._mask(seq.right) if mask is None else mask)
+
+
+_OPEN = object()   # the sequent opened last has a frame and no result yet
+
+
+def _bounded_search(s: GSequent, depth: int, stats: GSearchStats,
+                    ) -> tuple[Optional[GProof], dict[GSequent, int],
+                               dict[GSequent, int], list[str]]:
+    """The first cut-free proof of s of height at most depth, in the
+    order of ``_backward_steps``, or None; with the memo of failures
+    (the largest budget each sequent failed at), the memo of refuting
+    masks (0 where no valuation refutes, or none was looked for) and the
+    variables the masks range over.
+
+    Depth-first on an explicit stack, one frame per open sequent.  A
+    sequent is tested, in order, for the budget (where ``bound_hit`` is
+    set), the memo of failures, validity, the two axioms and then each
+    backward step.  G is sound for M4, so a sequent with a countermodel
+    has no proof and is dropped unexpanded: only branches that would
+    fail anyway are cut, and the proof found is the same.  When the
+    bound cut no branch off, no key of the memo of failures and no
+    sequent with a refuting mask has a cut-free proof at any height."""
+    failed_at: dict[GSequent, int] = {}
+    refuting: dict[GSequent, int] = {}
+    refute = _Refuter(s)
+    expanded = memo_hits = pruned = validity_hits = 0
+    bound_hit = False
+    # frames [sequent, budget, steps, index of the current step, premise proofs]
+    stack: list[list] = []
+    seq, budget = s, depth
+    while True:
+        result: object = None
         if budget <= 0:
             bound_hit = True
-            return None
-        if failed_at.get(seq, -1) >= budget:
-            return None
-        if seq.left == frozenset({seq.right}):
-            return GProof(GRule.STRUCT_AX, seq)
-        if not seq.left and _modal_axiom_shape(seq.right):
-            return GProof(GRule.MODAL_AX, seq)
-        for rule, prems in _backward_steps(seq):
-            if any(p == seq for p in prems):
-                continue
-            subs = []
-            for p in prems:
-                sub = search(p, budget - 1)
-                if sub is None:
-                    break
-                subs.append(sub)
+        elif failed_at.get(seq, -1) >= budget:
+            memo_hits += 1
+        else:
+            mask = refuting.get(seq)
+            if mask is None:
+                mask = refuting[seq] = refute(seq)
             else:
-                return GProof(rule, seq, tuple(subs))
-        prev = failed_at.get(seq, -1)
-        if budget > prev:
-            failed_at[seq] = budget
-        return None
+                validity_hits += 1
+            L, phi = seq.left, seq.right
+            if mask:
+                pruned += 1
+            elif len(L) == 1 and phi in L:
+                result = GProof(GRule.STRUCT_AX, seq)
+            elif not L and _modal_axiom_shape(phi):
+                result = GProof(GRule.MODAL_AX, seq)
+            else:
+                expanded += 1
+                stack.append([seq, budget, [(rule, prems) for rule, prems
+                                            in _backward_steps(seq) if seq not in prems], 0, []])
+                result = _OPEN
+        # hand the result up until some frame has a premise to open
+        while stack:
+            frame = stack[-1]
+            top, top_budget, steps, i, subs = frame
+            if result is None:
+                i = frame[3] = i + 1
+                subs = frame[4] = []
+            elif result is not _OPEN:
+                subs.append(result)
+            if i == len(steps):
+                stack.pop()
+                if top_budget > failed_at.get(top, -1):
+                    failed_at[top] = top_budget
+                result = None
+            elif len(subs) == len(steps[i][1]):
+                stack.pop()
+                result = GProof(steps[i][0], top, tuple(subs))
+            else:
+                seq, budget = steps[i][1][len(subs)], top_budget - 1
+                break
+        else:
+            stats.expanded += expanded
+            stats.memo_hits += memo_hits
+            stats.pruned += pruned
+            stats.validity_memo_hits += validity_hits
+            stats.bound_hit = stats.bound_hit or bound_hit
+            return result, failed_at, refuting, refute.names
 
-    return search(s, depth), bound_hit
 
-
-def g_search_cutfree(s: GSequent, depth: int) -> Optional[GProof]:
+def g_search_cutfree(s: GSequent, depth: int,
+                     stats: Optional[GSearchStats] = None) -> Optional[GProof]:
     """Exhaustive backward search over the cut-free rules, bounded by
-    tree height.  Monotone in depth: more depth never loses proofs."""
-    return _bounded_search(s, depth)[0]
+    tree height.  Monotone in depth: more depth never loses proofs.
+    What the search did is added to ``stats`` when one is given."""
+    return _bounded_search(s, depth, GSearchStats() if stats is None else stats)[0]
+
+
+# ---------------------------------------------------------------------------
+# Certificates that a sequent has no cut-free G proof.
+
+class GUnprovable(NamedTuple):
+    """A set S of sequents, none of which has a cut-free G proof: each
+    member of ``countermodels`` is refuted by its valuation, so has no
+    proof by soundness; each member of ``failed`` is no axiom and every
+    cut-free rule instance concluding it has a premise in S.  By
+    induction on height, no member of S has a proof."""
+
+    failed: frozenset[GSequent]
+    countermodels: Mapping[GSequent, Mapping[str, str]]
+
+
+def _rule_instances(seq: GSequent) -> Iterator[tuple[GRule, list[GSequent]]]:
+    """The premises of every cut-free rule instance concluding seq, read
+    off the schemas of ``verify_g_proof`` and written apart from the
+    search's ``_backward_steps``, so that a certificate does not rest on
+    the enumeration it certifies.  Instances whose premise is seq itself
+    are included; they hold trivially."""
+    L, phi = seq.left, seq.right
+    yield GRule.WEAK, [seq]
+    for beta in L:
+        yield GRule.WEAK, [GSequent(L - {beta}, phi)]
+    for pi in L:
+        for ctx in (L - {pi}, L):
+            if isinstance(pi, And):
+                yield GRule.AND_L, [GSequent(ctx | {pi.left, pi.right}, phi)]
+            if isinstance(pi, Or):
+                yield GRule.OR_L, [GSequent(ctx | {pi.left}, phi),
+                                   GSequent(ctx | {pi.right}, phi)]
+            if isinstance(pi, Neg) and isinstance(pi.child, Neg):
+                yield GRule.NEG_NEG_L, [GSequent(ctx | {pi.child.child}, phi)]
+            if isinstance(pi, Neg) and isinstance(pi.child, Box) and pi.child.child in L:
+                alpha = pi.child.child
+                yield GRule.BOX_L, [GSequent(ctx | {alpha, Neg(alpha)}, phi)]
+    if isinstance(phi, And):
+        yield GRule.AND_R, [GSequent(L, phi.left), GSequent(L, phi.right)]
+        if (isinstance(phi.right, Neg) and isinstance(phi.right.child, Box)
+                and phi.right.child.child is phi.left):
+            yield GRule.BOX_R, [GSequent(L, And(phi.left, Neg(phi.left)))]
+    if isinstance(phi, Or):
+        yield GRule.OR_R1, [GSequent(L, phi.left)]
+        yield GRule.OR_R2, [GSequent(L, phi.right)]
+    if isinstance(phi, Neg) and isinstance(phi.child, Neg):
+        yield GRule.NEG_NEG_R, [GSequent(L, phi.child.child)]
+    if isinstance(phi, Neg) and len(L) == 1:
+        (lone,) = L
+        if isinstance(lone, Neg):
+            yield GRule.NEG, [GSequent(frozenset({phi.child}), lone.child)]
+    yield GRule.BOT_RULE, [GSequent(L, BOT)]
+
+
+def verify_g_unprovable(goal: GSequent, cert: GUnprovable) -> None:
+    """Raise ValueError unless the certificate shows that the goal has no
+    cut-free G proof at any height: the goal is in S, every countermodel
+    refutes its sequent under the pointwise ``sequent_satisfied``, and
+    every failed member is no axiom and has a premise in S in each rule
+    instance concluding it."""
+    members = cert.failed | cert.countermodels.keys()
+    if goal not in members:
+        raise ValueError(f"the goal {goal} is not in the certificate")
+    for seq, v in cert.countermodels.items():
+        try:
+            refuted = not sequent_satisfied(v, Sequent(seq.left, frozenset({seq.right})))
+        except MissingVariableError as e:
+            raise ValueError(f"{seq}: {e}") from None
+        if not refuted:
+            raise ValueError(f"{seq}: {render_valuation(v)} is no countermodel")
+    for seq in cert.failed:
+        if (seq.left == frozenset({seq.right})
+                or not seq.left and _modal_axiom_shape(seq.right)):
+            raise ValueError(f"{seq} is an axiom")
+        for rule, prems in _rule_instances(seq):
+            if not any(p in members for p in prems):
+                raise ValueError(f"{seq}: no premise of its {rule.value} step "
+                                 f"is in the certificate")
+
+
+def _search_certified(goal: GSequent, depth: int,
+                      ) -> tuple[Optional[GProof], Optional[GUnprovable], GSearchStats]:
+    """The bounded search; for a miss where the bound cut no branch off,
+    its certificate, checked; and what the search did."""
+    stats = GSearchStats()
+    proof, failed_at, refuting, names = _bounded_search(goal, depth, stats)
+    if proof is not None or stats.bound_hit:
+        return proof, None, stats
+    cert = GUnprovable(frozenset(failed_at), {
+        seq: _first_valuation(mask, names, M4.values)
+        for seq, mask in refuting.items() if mask})
+    # one that does not check is a fault of the search: raise rather
+    # than report the miss either way
+    verify_g_unprovable(goal, cert)
+    return None, cert, stats
 
 
 @dataclass(frozen=True)
@@ -276,8 +490,10 @@ class ProbeReport:
     """Outcome of the cut-necessity probe.
 
     ``bound_hit`` says whether the G search cut some branch off at the
-    height bound; ``exhausted`` says that it found no proof without
-    doing so, so that no cut-free G proof exists at any height.
+    height bound.  When it found no proof without doing so, the sequents
+    it failed on and those it pruned make up ``certificate``, and
+    ``exhausted`` says that the certificate checks, so that no cut-free
+    G proof exists at any height.  ``stats`` is what the search did.
     """
 
     alpha: Formula
@@ -288,6 +504,8 @@ class ProbeReport:
     vacuous_bound: bool
     bound_hit: bool
     exhausted: bool
+    stats: GSearchStats
+    certificate: Optional[GUnprovable]
 
     def __str__(self) -> str:
         goal = Box(Or(self.alpha, Neg(Box(self.alpha))))
@@ -312,16 +530,17 @@ class ProbeReport:
 def cut_necessity_probe(alpha: Formula, depth: int) -> ProbeReport:
     """Probe => #(a | ~#a): semantically valid and cut-free provable in
     the two-sided calculus, yet no cut-free G proof exists within the
-    height bound.  The report says whether that miss is exhaustive or
-    cut off by the bound."""
+    height bound.  The report says whether that miss is exhaustive, with
+    a certificate that checks, or cut off by the bound."""
     goal_formula = Box(Or(alpha, Neg(Box(alpha))))
-    g_proof, bound_hit = _bounded_search(GSequent.of([], goal_formula), depth)
+    g_proof, certificate, stats = _search_certified(GSequent.of([], goal_formula), depth)
     valid = matrix_consequence([], [goal_formula], M4)
     sc_proof = prove(Sequent.of([], [goal_formula]))
     sc_found = sc_proof is not None and is_cut_free(sc_proof)
     return ProbeReport(alpha, depth, valid, g_proof is not None, sc_found,
-                       vacuous_bound=depth <= 0, bound_hit=bound_hit,
-                       exhausted=g_proof is None and not bound_hit)
+                       vacuous_bound=depth <= 0, bound_hit=stats.bound_hit,
+                       exhausted=certificate is not None, stats=stats,
+                       certificate=certificate)
 
 
 # ---------------------------------------------------------------------------

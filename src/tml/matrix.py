@@ -289,26 +289,33 @@ def _constant(i: int, n: int, full: int) -> list[int]:
 
 
 def _value_planes(formulas: Sequence[Formula], names: Sequence[str],
-                  values: Sequence, tables: Mapping[str, Sequence[int]]) -> list[tuple[int, ...]]:
+                  values: Sequence, tables: Mapping[str, Sequence[int]],
+                  planes: Optional[dict[Formula, tuple[int, ...]]] = None,
+                  ) -> list[tuple[int, ...]]:
     """The value planes of each formula over all valuations of ``names``
     (sorted) into ``values``, under index tables as built by
     ``LogicalMatrix.tables``.  Iterative post-order over the interned
-    formula DAG, each node once per call."""
+    formula DAG, each node once per call.  ``planes``, when given, is
+    extended in place and may hold the planes of earlier calls over the
+    same names, values and tables: a formula then costs only the nodes
+    not already in it."""
     n, k = len(values), len(names)
     size = n ** k
     full = (1 << size) - 1
-    planes: dict[Formula, tuple[int, ...]] = {}
-    for i, name in enumerate(names):
-        # digit i of j counts runs of `step` bits, n runs to a period:
-        # value 0 on the first run of each period, value a a runs later.
-        # Built by doubling; dividing full by a repunit is quadratic.
-        step = n ** (k - 1 - i)
-        low, width = (1 << step) - 1, step * n
-        while width < size:
-            low |= low << width
-            width *= 2
-        low &= full
-        planes[Var(name)] = tuple([low << a * step for a in range(n)])
+    if planes is None:
+        planes = {}
+    if not planes:
+        for i, name in enumerate(names):
+            # digit i of j counts runs of `step` bits, n runs to a period:
+            # value 0 on the first run of each period, value a a runs later.
+            # Built by doubling; dividing full by a repunit is quadratic.
+            step = n ** (k - 1 - i)
+            low, width = (1 << step) - 1, step * n
+            while width < size:
+                low |= low << width
+                width *= 2
+            low &= full
+            planes[Var(name)] = tuple([low << a * step for a in range(n)])
     for root in formulas:
         stack = [root]
         while stack:

@@ -269,3 +269,30 @@ class TestProbeCut:
         assert doc["sc_cutfree_found"] is True
         assert doc["exhausted"] is True
         assert doc["bound_hit"] is False
+
+    def test_readme_probe_text(self, capsys):
+        assert run(["probe-cut", "--alpha", "p", "--depth", "12"]) == 0
+        assert capsys.readouterr().out == (
+            "goal: => #(p | ~#p)\n"
+            "semantically valid: True\n"
+            "cut-free G proof within height 12: False\n"
+            "cut-free two-sided proof: True\n"
+            "exhaustive: the G search explored every cut-free backward step "
+            "without reaching the height bound, so no cut-free G proof exists "
+            "at any height\n")
+
+    def test_stats_go_to_stderr(self, capsys):
+        for argv in [["probe-cut", "--alpha", "p"], ["probe-cut", "--depth", "1"],
+                     ["prove", "--calculus", "g", "p & q => p"],
+                     ["prove", "--calculus", "g", "=> #(p | ~#p)"]]:
+            code = run(argv)
+            plain = capsys.readouterr()
+            assert run(argv + ["--stats"]) == code
+            with_stats = capsys.readouterr()
+            assert with_stats.out == plain.out and plain.err == ""
+            assert with_stats.err.startswith("stats: expanded ")
+        assert run(["probe-cut", "--stats"]) == 0
+        assert capsys.readouterr().err == (
+            "stats: expanded 1, memo hits 0, pruned 1, validity memo hits 0, "
+            "bound hit False\n")
+        assert run(["prove", "--calculus", "sc", "--stats", "p => p"]) == 2
