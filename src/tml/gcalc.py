@@ -24,8 +24,9 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .matrix import (M4, MissingVariableError, _first_valuation, _sequent_vars,
-                     _union, _value_planes, matrix_consequence, render_valuation)
+from .matrix import (M4, MissingVariableError, _first_valuation, _refuting,
+                     _sequent_vars, _value_planes, matrix_consequence,
+                     render_valuation)
 from .proofs import CheckError, from_json, passes, render, to_json, walk
 from .sc import is_cut_free, prove
 from .sequents import Sequent, sequent_satisfied
@@ -258,46 +259,44 @@ class GSearchStats:
                 f"{self.validity_memo_hits}, bound hit {self.bound_hit}")
 
 
-_DESIGNATED = [i for i, v in enumerate(M4.values) if v in M4.designated]
-# A plane over k variables has 4**k bits, 128 KB at 10: past that the
-# search does not prune, which costs it speed but no proof and no
-# certificate.
-_PRUNE_MAX_VARS = 10
+# A plane over k variables takes 4**k bits, and testing a sequent costs
+# time in proportion: about 26 us at 8 variables, 84 us at 9 and 520 us
+# at 10, against 70-80 us for expanding a sequent (CPython 3.11, one
+# core of a shared 2-core VM).  On the chain x1 & ... & xk => x1 at
+# height 12, where few sequents have a countermodel, pruning took 4.9 s
+# against 6.4 s unpruned at 8 variables, 17 s against 10 s at 9 and 98 s
+# against 18 s at 10.  Past this many variables the search does not
+# prune, which costs it speed but no proof and no certificate.
+_PRUNE_MAX_VARS = 8
 
 
 class _Refuter:
-    """The valuations that refute a G sequent, as a bitmask over the
-    valuations of the goal's variables: bit j stands for valuation j of
-    ``valuations(names)``.  Every sequent of a search is built from the
-    goal's subformulas, their negations and ``a & ~a``, so it has no
-    other variables.  Each formula's planes are computed once, on first
-    use, extending those of the formulas before it.  A goal with more
-    than ``_PRUNE_MAX_VARS`` variables gets 0, no refuting valuation,
-    for every sequent."""
+    """The first valuation that refutes a G sequent, as its index j in
+    ``valuations(names)`` over the goal's variables, or -1 where none
+    does.  An index, not the mask of all refuting valuations: a search
+    keeps one per sequent it tests, and a mask takes 4**k bits.  Every
+    sequent of a search is built from the goal's subformulas, their
+    negations and ``a & ~a``, so it has no other variables.  Each
+    formula's planes are computed once, on first use, extending those of
+    the formulas before it.  A goal with more than ``_PRUNE_MAX_VARS``
+    variables gets -1, no refuting valuation, for every sequent, and no
+    plane is built for it."""
 
     def __init__(self, goal: GSequent):
         self.names = sorted(_sequent_vars(goal.left, [goal.right]))
         self.prunes = len(self.names) <= _PRUNE_MAX_VARS
-        self.full = (1 << len(M4.values) ** len(self.names)) - 1
-        self.tables = M4.tables()
-        self.planes: dict[Formula, tuple[int, ...]] = {}
-        self.masks: dict[Formula, int] = {}   # where each formula is designated
-
-    def _mask(self, f: Formula) -> int:
-        x = _value_planes([f], self.names, M4.values, self.tables, self.planes)[0]
-        mask = self.masks[f] = _union(x, _DESIGNATED)
-        return mask
+        if self.prunes:
+            self.full = (1 << len(M4.values) ** len(self.names)) - 1
+            self.tables = M4.tables()
+            self.planes: dict[Formula, tuple[int, ...]] = {}
 
     def __call__(self, seq: GSequent) -> int:
         if not self.prunes:
-            return 0
-        masks = self.masks
-        out = self.full
-        for f in seq.left:
-            mask = masks.get(f)
-            out &= self._mask(f) if mask is None else mask
-        mask = masks.get(seq.right)
-        return out & ~(self._mask(seq.right) if mask is None else mask)
+            return -1
+        *gamma, phi = _value_planes([*seq.left, seq.right], self.names, M4.values,
+                                    self.tables, self.planes)
+        mask = _refuting(gamma, [phi], M4, self.full)
+        return (mask & -mask).bit_length() - 1
 
 
 _OPEN = object()   # the sequent opened last has a frame and no result yet
@@ -308,9 +307,9 @@ def _bounded_search(s: GSequent, depth: int, stats: GSearchStats,
                                dict[GSequent, int], list[str]]:
     """The first cut-free proof of s of height at most depth, in the
     order of ``_backward_steps``, or None; with the memo of failures
-    (the largest budget each sequent failed at), the memo of refuting
-    masks (0 where no valuation refutes, or none was looked for) and the
-    variables the masks range over.
+    (the largest budget each sequent failed at), the memo of first
+    refuting valuations (their indices, -1 where none refutes or none
+    was looked for) and the variables the valuations range over.
 
     Depth-first on an explicit stack, one frame per open sequent.  A
     sequent is tested, in order, for the budget (where ``bound_hit`` is
@@ -319,7 +318,7 @@ def _bounded_search(s: GSequent, depth: int, stats: GSearchStats,
     has no proof and is dropped unexpanded: only branches that would
     fail anyway are cut, and the proof found is the same.  When the
     bound cut no branch off, no key of the memo of failures and no
-    sequent with a refuting mask has a cut-free proof at any height."""
+    sequent with a refuting valuation has a cut-free proof at any height."""
     failed_at: dict[GSequent, int] = {}
     refuting: dict[GSequent, int] = {}
     refute = _Refuter(s)
@@ -335,13 +334,13 @@ def _bounded_search(s: GSequent, depth: int, stats: GSearchStats,
         elif failed_at.get(seq, -1) >= budget:
             memo_hits += 1
         else:
-            mask = refuting.get(seq)
-            if mask is None:
-                mask = refuting[seq] = refute(seq)
+            j = refuting.get(seq)
+            if j is None:
+                j = refuting[seq] = refute(seq)
             else:
                 validity_hits += 1
             L, phi = seq.left, seq.right
-            if mask:
+            if j >= 0:
                 pruned += 1
             elif len(L) == 1 and phi in L:
                 result = GProof(GRule.STRUCT_AX, seq)
@@ -477,8 +476,8 @@ def _search_certified(goal: GSequent, depth: int,
     if proof is not None or stats.bound_hit:
         return proof, None, stats
     cert = GUnprovable(frozenset(failed_at), {
-        seq: _first_valuation(mask, names, M4.values)
-        for seq, mask in refuting.items() if mask})
+        seq: _first_valuation(1 << j, names, M4.values)
+        for seq, j in refuting.items() if j >= 0})
     # one that does not check is a fault of the search: raise rather
     # than report the miss either way
     verify_g_unprovable(goal, cert)

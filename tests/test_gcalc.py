@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -10,7 +11,7 @@ from tml.gcalc import (GCheckError, GProof, GRule, GSearchStats, GSequent,
                        g_proof_from_json, g_proof_to_json, g_search_cutfree,
                        render_g_proof, verify_g_proof, verify_g_unprovable)
 from tml.matrix import matrix_consequence
-from tml.syntax import And, BOT, Box, Neg, Var, parse
+from tml.syntax import And, BOT, Box, Neg, Var, parse, subformulas
 
 p, q = Var("p"), Var("q")
 
@@ -132,11 +133,18 @@ class TestSearch:
         verify_g_proof(pr)
 
     def test_wide_goals_are_searched_unpruned(self):
-        # planes over 11 variables would take 4**11 bits each; the miss
+        # past _PRUNE_MAX_VARS variables no sequent is tested; the miss
         # is still certified, by failed sequents alone
         report = cut_necessity_probe(parse(" & ".join("abcdefghijk")), 12)
         assert report.exhausted and report.stats.pruned == 0
         assert report.certificate.countermodels == {}
+        # and no plane is built: one over 20 variables takes 4**20 bits
+        xs = [f"x{i}" for i in range(1, 21)]
+        goal = GSequent.of([parse("x1")], parse(f"x1 | ({' & '.join(xs[1:])})"))
+        stats = GSearchStats()
+        pr = g_search_cutfree(goal, 12, stats)
+        assert pr is not None and stats.pruned == 0
+        verify_g_proof(pr)
 
     def test_stats_add_up(self):
         stats = GSearchStats()
@@ -229,13 +237,81 @@ class TestCertificate:
             seq = GSequent.of(rng.sample(pool, rng.randrange(4)), rng.choice(pool))
             instances = list(_rule_instances(seq))
             for rule, prems in instances:
-                node = GProof(rule, seq, tuple(GProof(GRule.STRUCT_AX, s) for s in prems))
-                try:
-                    verify_g_proof(node)
-                except GCheckError as e:   # a premise leaf may fail, not the step
-                    assert e.path != (), (seq, rule)
+                assert _root_step_passes(rule, seq, prems), (seq, rule)
             for step in _backward_steps(seq):
                 assert step in instances, (seq, step)
+
+    def test_rule_instances_are_complete(self):
+        # the other way round, which certificates rest on: every premise
+        # list that verify_g_proof accepts at the root, under any rule,
+        # is an instance.  Lists of one premise are tried on a seeded
+        # sample of sequents, lists of two on small sequents, where all
+        # pairs of candidates fit in the time of a test.
+        rng = random.Random(8)
+        pool = [parse(t) for t in ["p", "q", "~p", "~~p", "#p", "~#p", "p & q",
+                                   "p | q", "p & ~#p", "p | ~#p", "~#p & q", "bot"]]
+        seqs = [GSequent.of(rng.sample(pool, rng.randrange(3)), rng.choice(pool))
+                for _ in range(12)]
+        seqs += [GSequent.of([p, parse("~#p")], q), GSequent.of([parse("~q")], parse("~p")),
+                 GSequent.of([parse("p & q"), parse("p | q")], parse("p & ~#p"))]
+        for seq in seqs:
+            singles, _ = _premise_candidates(seq)
+            _assert_complete(seq, [[s] for s in singles])
+        for text in ["p | q => p & q", "p | q => ~p", "~p => q & ~#q"]:
+            seq = GSequent.of(*_single_conclusion(text))
+            _, small = _premise_candidates(seq)
+            _assert_complete(seq, [[a, b] for a in small for b in small])
+
+
+def _single_conclusion(text):
+    from tml.sequents import parse_sequent
+    seq = parse_sequent(text)
+    (phi,) = seq.right
+    return seq.left, phi
+
+
+def _premise_candidates(seq):
+    """Candidate premises of one-step instances concluding seq: on the
+    left a subset of the left side, or the left side less at most one
+    formula and plus at most two subformulas of the sequent, or one
+    negated, or a lone one; on the right a
+    subformula, a negation or a & ~a of one, or bot.  Then a smaller set
+    for pairs: at most one subformula added, and no negations."""
+    L = seq.left
+    parts = set().union(*map(subformulas, [*L, seq.right]))
+    added = parts | {Neg(f) for f in parts}
+    rights = added | {And(f, Neg(f)) for f in parts} | {BOT}
+    ctxs = [L] + [L - {f} for f in L]
+    lefts = ({c | {y} for c in ctxs for y in added} | set(ctxs)
+             | {frozenset({y}) for y in added} | set(map(frozenset, _subsets(L)))
+             | {c | {y, z} for c in ctxs for y in parts for z in parts})
+    small = {c | {y} for c in ctxs for y in parts} | set(ctxs)
+    return ([GSequent(l, r) for l in lefts for r in rights],
+            [GSequent(l, r) for l in small for r in parts | {BOT}])
+
+
+def _subsets(xs):
+    xs = list(xs)
+    return [c for n in range(len(xs) + 1) for c in itertools.combinations(xs, n)]
+
+
+def _assert_complete(seq, lists):
+    instances = {(rule, tuple(prems)) for rule, prems in _rule_instances(seq)}
+    for prems in lists:
+        for rule in GRule:
+            if _root_step_passes(rule, seq, prems):
+                assert (rule, tuple(prems)) in instances, (seq, rule, prems)
+
+
+def _root_step_passes(rule, seq, prems):
+    """Whether verify_g_proof accepts the step from prems to seq by rule;
+    the premises are leaves that may fail their own check."""
+    node = GProof(rule, seq, tuple(GProof(GRule.STRUCT_AX, s) for s in prems))
+    try:
+        verify_g_proof(node)
+    except GCheckError as e:
+        return e.path != ()
+    return True
 
 
 # sha256 over the JSON (as `tml prove --calculus g --format json` prints
