@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 from .matrix import (M4, MissingVariableError, _first_valuation, _refuting,
                      _sequent_vars, _value_planes, matrix_consequence,
                      render_valuation)
-from .proofs import CheckError, from_json, passes, render, to_json, walk
+from .proofs import CheckError, from_json, passes, render, shared, to_json, walk
 from .sc import is_cut_free, prove
-from .sequents import Sequent, sequent_satisfied
+from .sequents import Sequent, sequent_satisfied, side_texts
 from .syntax import And, BOT, Box, Formula, Neg, Or, formula_key, parse
 
 __all__ = [
@@ -68,7 +68,7 @@ class GSequent:
         return GSequent(frozenset(left), right)
 
     def __str__(self) -> str:
-        lhs = ", ".join(f.text for f in sorted(self.left, key=formula_key))
+        lhs = ", ".join(side_texts(self.left))
         return f"{lhs} => {self.right.text}".strip()
 
 
@@ -78,18 +78,19 @@ class GProof:
     sequent: GSequent
     premises: tuple["GProof", ...] = ()
 
-    def json_fields(self) -> dict:
+    def json_fields(self, sides: dict) -> dict:
         return {"rule": self.rule.value,
-                "sequent": {"left": [f.text for f in sorted(self.sequent.left, key=formula_key)],
+                "sequent": {"left": shared(sides, self.sequent.left, side_texts),
                             "right": [self.sequent.right.text]},
                 "premises": []}
 
     @staticmethod
-    def json_reader(doc: dict) -> Callable[[tuple], "GProof"]:
+    def json_reader(doc: dict, formulas: dict) -> Callable[[tuple], "GProof"]:
         right = doc["sequent"]["right"]
         if len(right) != 1:
             raise ValueError("G sequents have exactly one conclusion")
-        seq = GSequent.of([parse(t) for t in doc["sequent"]["left"]], parse(right[0]))
+        seq = GSequent.of([shared(formulas, t, parse) for t in doc["sequent"]["left"]],
+                          shared(formulas, right[0], parse))
         rule = GRule(doc["rule"])
         return lambda premises: GProof(rule, seq, premises)
 
@@ -518,8 +519,8 @@ class ProbeReport:
             lines.append("note: height bound is vacuous (no proofs of any kind fit)")
         if self.exhausted:
             lines.append("exhaustive: the G search explored every cut-free backward "
-                         "step without reaching the height bound, so no cut-free "
-                         "G proof exists at any height")
+                         "step or refuted it by a countermodel, without reaching the "
+                         "height bound, so no cut-free G proof exists at any height")
         elif self.bound_hit:
             lines.append("empirical evidence only: the bounded search does not "
                          "decide unbounded cut-free provability")

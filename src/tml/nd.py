@@ -4,8 +4,9 @@ translation between sequent proofs and deductions.
 Deductions are trees whose leaves are marked hypotheses; |E, ~&E and
 the starred box introduction close hypothesis classes by marker.  The
 forward translation turns a cut-free sequent proof of G => D into a
-deduction of the disjunction of D from G; the reverse translation uses
-weakening and cut to rebuild a sequent proof from a deduction.
+deduction of the disjunction of D from G; the reverse translation
+rebuilds a sequent proof from a deduction with the sequent rules and
+weakening, and with cut only at the steps listed in ``_ToSc``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import is_not
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import sc
-from .proofs import CheckError, Path, fold, from_json, render, to_json, walk
+from .proofs import CheckError, fold, from_json, render, shared, to_json, walk
 from .sc import ScProof, ScRule
 from .sequents import Sequent
 from .syntax import And, BOT, Box, Formula, Neg, Or, parse
@@ -53,7 +54,7 @@ class NDDeduction:
     marker: Optional[str] = None                       # hyp nodes only
     discharges: tuple[tuple[str, Formula], ...] = ()   # (marker, assumption)
 
-    def json_fields(self) -> dict:
+    def json_fields(self, memo: dict) -> dict:
         doc: dict = {"rule": self.rule, "conclusion": self.conclusion.text}
         if self.marker is not None:
             doc["marker"] = self.marker
@@ -64,9 +65,11 @@ class NDDeduction:
         return doc
 
     @staticmethod
-    def json_reader(doc: dict) -> Callable[[tuple], "NDDeduction"]:
-        rule, conclusion, marker = doc["rule"], parse(doc["conclusion"]), doc.get("marker")
-        discharges = tuple((e["marker"], parse(e["formula"])) for e in doc.get("discharges", []))
+    def json_reader(doc: dict, formulas: dict) -> Callable[[tuple], "NDDeduction"]:
+        rule, marker = doc["rule"], doc.get("marker")
+        conclusion = shared(formulas, doc["conclusion"], parse)
+        discharges = tuple((e["marker"], shared(formulas, e["formula"], parse))
+                           for e in doc.get("discharges", []))
         return lambda premises: NDDeduction(rule, conclusion, premises, marker, discharges)
 
     def label(self) -> str:
@@ -88,7 +91,7 @@ class NdResult:
     error: Optional[str] = None
 
 
-def _check_schema(node: NDDeduction, path: Path) -> None:
+def _check_schema(node: NDDeduction, path: Sequence[int]) -> None:
     """Local shape check: arity, marker placement, discharge slots, and
     the premise/conclusion pattern of the rule."""
     r = node.rule
@@ -283,10 +286,9 @@ def _graft(d: NDDeduction, assumption: Formula,
     """Replace open hypotheses of the given formula by fresh instances of
     a deduction concluding it, in the order of a depth-first walk.
 
-    The stack carries down the markers discharged above each node, in
-    place of the paths of ``walk``, which cost a copy of the path per
-    node: a translation grafts once per rule, on deductions as tall as
-    the proof.  Untouched subtrees are kept, not copied."""
+    The stack carries down the markers discharged above each node,
+    which ``walk`` does not track.  Untouched subtrees are kept, not
+    copied."""
     done: list[NDDeduction] = []
     stack = [(d, frozenset(), True)]
     while stack:
@@ -679,10 +681,20 @@ class _ToSc:
     whether the right side is empty.
 
     A deduction rule that stands for a sequent rule becomes that rule
-    itself when the rule's premises each add one formula, the premises
-    of the deduction rule (&I, ~|I, ~~I, ~#I); becomes its case split
-    when it discharges (|E, ~&E); and otherwise becomes a cut against
-    the one-rule lemma of the sequent rule."""
+    wherever the deduction allows:
+
+    - an introduction, its right rule over the proofs of its premises,
+      each weakened by the formulas the rule adds;
+    - a one-premise elimination whose major premise is a hypothesis,
+      its left rule over an axiom;
+    - a case split (|E, ~&E) whose major formula is already an open
+      assumption of the step, its left rule.
+
+    The other steps cut: a one-premise elimination of a derived formula
+    (against the one-rule lemma of its left rule), a case split on a
+    formula that is not yet open, ~#E (two cuts), the falsum
+    introduction (against the falsum proof) and the starred box
+    introduction (to split psi | a)."""
 
     def translate(self, d: NDDeduction) -> ScProof:
         proof, empty = fold(d, self._step)
@@ -723,17 +735,20 @@ class _ToSc:
         prems = [q.conclusion for q in d.premises]
         ps = [self._mat(pair, f) for pair, f in zip(results, prems)]
         rule = _SC_RULE.get(r)
-        if rule in _ND_INTRO and len(_ND_INTRO[rule]) == 1:
+        if rule in _ND_INTRO:
             left = frozenset().union(*(p.sequent.left for p in ps))
-            ws = tuple(sc.weaken(p, left, [f]) for p, f in zip(ps, prems))
+            ws = tuple(sc.weaken(p, left, added)
+                       for p, added in zip(ps, _added(rule, c)))
             return ScProof(rule, Sequent(left, frozenset({c})), (c,), ws), False
         if rule in (ScRule.OR_L, ScRule.NEG_AND_L):
             return self._case_split(d, ps[0], results, rule)
-        if rule is not None:
+        if rule is not None:   # a one-premise elimination
             (src,), (p,) = prems, ps
-            lemma = (sc._lemma(rule, src, c) if rule in _ND_ELIM
-                     else sc._lemma(rule, c, src))
-            return sc.cut(p, lemma, src, p.sequent.left, [c]), False
+            if d.premises[0].rule == "hyp":
+                (added,) = _added(rule, src)
+                base = sc.axiom([src, *added], [c])
+                return ScProof(rule, Sequent.of([src], [c]), (src,), (base,)), False
+            return sc.cut(p, sc._lemma(rule, src, c), src, p.sequent.left, [c]), False
 
         if r == "box_i_star":
             return self._box_i_star(d, ps)
@@ -771,6 +786,8 @@ class _ToSc:
         w1 = sc.weaken(q1, left | {a}, right)
         w2 = sc.weaken(q2, left | {b}, right)
         node = ScProof(rule, Sequent(left | {main}, frozenset(right)), (main,), (w1, w2))
+        if main in left:   # an open assumption already: no cut needed
+            return node, empty
         return sc.cut(p0, node, main, left, right), empty
 
     def _box_i_star(self, d: NDDeduction, ps: list[ScProof]) -> tuple[ScProof, bool]:

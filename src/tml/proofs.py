@@ -2,18 +2,21 @@
 
 Each calculus (``tml.sc``, ``tml.gcalc``, ``tml.signed``, ``tml.nd``)
 keeps a frozen node class that knows only itself: ``premises``, a tuple
-of nodes; ``json_fields()``, its JSON object with an empty ``premises``
-list where premises go; the static ``json_reader(doc)``, which reads
-those fields and returns the builder of the node from its premises;
-and ``label()``, its line of text.  The rest is here, all iterative.
+of nodes; ``json_fields(memo)``, its JSON object with an empty
+``premises`` list where premises go; the static ``json_reader(doc,
+memo)``, which reads those fields and returns the builder of the node
+from its premises; and ``label()``, its line of text.  The memo lasts
+one ``to_json`` or ``from_json`` call (see ``shared``).  The rest is
+here, all iterative.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter, methodcaller
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 
-__all__ = ["Path", "CheckError", "passes", "walk", "fold", "to_json", "from_json", "render"]
+__all__ = ["Path", "CheckError", "passes", "walk", "fold", "shared", "to_json", "from_json",
+           "render"]
 
 Path = tuple[int, ...]   # premise indices from the root down to a node
 
@@ -23,10 +26,10 @@ class CheckError(ValueError):
     is ``node [0, 1] (or_l): reason`` when ``rule`` is given, as the
     two-sided calculus and G do, else ``node [0, 1]: reason``."""
 
-    def __init__(self, path: Path, reason: str, rule: Optional[Any] = None):
+    def __init__(self, path: Sequence[int], reason: str, rule: Optional[Any] = None):
         where = f"node {list(path)}" if rule is None else f"node {list(path)} ({rule.value})"
         super().__init__(f"{where}: {reason}")
-        self.path = path
+        self.path: Path = tuple(path)
         self.reason = reason
         self.rule = rule
 
@@ -41,28 +44,35 @@ def passes(verify: Callable[..., Any], *args: Any, **kwargs: Any) -> bool:
 
 
 def walk(root: Any, premises: Callable[[Any], Any] = attrgetter("premises"),
-         ) -> Iterator[tuple[Any, Path, bool]]:
+         ) -> Iterator[tuple[Any, list[int], bool]]:
     """Depth-first walk with an explicit stack: yields ``(node, path, True)``
     on entry to a node, before its premises, and ``(node, path, False)`` on
     exit, after them, interleaved as the calls and returns of a recursive
     walk would be.  A subtree shared by several parents is walked once per
-    occurrence."""
-    stack = [(root, (), True)]
+    occurrence.
+
+    ``path`` is one list, updated in place as the walk moves, so an event
+    costs the same at any height: copy it to keep it, as CheckError does."""
+    path: list[int] = []
+    stack: list[tuple[Any, Optional[int], bool]] = [(root, None, True)]
     pop, push = stack.pop, stack.append
     while stack:
-        event = pop()
-        yield event
-        node, path, entering = event
+        node, i, entering = pop()
         if entering:
+            if i is not None:
+                path.append(i)
+            yield node, path, True
             children = premises(node)
             if children:
-                push((node, path, False))
-                i = len(children)
-                while i:   # the first premise goes on top
-                    i -= 1
-                    push((children[i], path + (i,), True))
-            else:
-                yield node, path, False
+                push((node, i, False))
+                k = len(children)
+                while k:   # the first premise goes on top
+                    k -= 1
+                    push((children[k], k, True))
+                continue
+        yield node, path, False
+        if i is not None:
+            path.pop()
 
 
 def fold(root: Any, combine: Callable[[Any, list], Any]) -> Any:
@@ -79,13 +89,30 @@ def fold(root: Any, combine: Callable[[Any, list], Any]) -> Any:
     return done[0]
 
 
+def shared(memo: dict, key: Hashable, make: Callable[[Any], Any]) -> Any:
+    """``make(key)``, made once per key of a memo and shared after that.
+    An unhashable key (a malformed document) goes to ``make`` unmemoised,
+    so that it fails there as it would without the memo."""
+    try:
+        value = memo.get(key)
+    except TypeError:
+        return make(key)
+    if value is None:
+        value = memo[key] = make(key)
+    return value
+
+
 def to_json(root: Any) -> dict:
     """The JSON of a tree, built top-down: each node's object is made on
-    entry and appended to its parent's ``premises``."""
+    entry and appended to its parent's ``premises``.
+
+    ``json_fields`` gets a memo for the whole call: equal sequent sides
+    share one list of texts, so do not change the lists in place."""
+    memo: dict = {}
     docs: list[dict] = []   # the objects from the root to the node entered last
     for node, path, entering in walk(root):
         if entering:
-            doc = node.json_fields()
+            doc = node.json_fields(memo)
             del docs[len(path):]
             if docs:
                 docs[-1]["premises"].append(doc)
@@ -99,12 +126,14 @@ _json_premises = methodcaller("get", "premises", ())
 def from_json(doc: dict, node_class: Any) -> Any:
     """The tree of a JSON document.  A node's fields are read on entry,
     so a bad field is reported before anything below it; the node is
-    built on exit, from its finished premises."""
+    built on exit, from its finished premises.  ``json_reader`` gets a
+    memo for the whole call, so each distinct text is parsed once."""
+    memo: dict = {}
     builders: list[Callable[[tuple], Any]] = []
     done: list[Any] = []
     for d, _, entering in walk(doc, _json_premises):
         if entering:
-            builders.append(node_class.json_reader(d))
+            builders.append(node_class.json_reader(d, memo))
         else:
             start = len(done) - len(_json_premises(d))
             node = builders.pop()(tuple(done[start:]))

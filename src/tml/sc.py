@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Optional, Sequence
 from .algebra import Algebra, m4_algebra, product_algebra
 from .matrix import (_apply2, _constant, _first_valuation, _leq_mask,
                      _value_planes)
-from .proofs import CheckError, fold, from_json, passes, render, to_json, walk
+from .proofs import CheckError, fold, from_json, passes, render, shared, to_json, walk
 from .search import Step, decide
-from .sequents import Sequent, render_sequent
+from .sequents import Sequent, render_sequent, side_texts
 from .syntax import And, Box, Formula, Neg, Or, Var, formula_key, parse
 
 __all__ = [
@@ -65,20 +65,20 @@ class ScProof:
     principal: tuple[Formula, ...] = ()
     premises: tuple["ScProof", ...] = ()
 
-    def json_fields(self) -> dict:
+    def json_fields(self, sides: dict) -> dict:
         seq = self.sequent
         return {"rule": self.rule.value,
-                "sequent": {"left": [f.text for f in sorted(seq.left, key=formula_key)],
-                            "right": [f.text for f in sorted(seq.right, key=formula_key)]},
+                "sequent": {"left": shared(sides, seq.left, side_texts),
+                            "right": shared(sides, seq.right, side_texts)},
                 "principal": [f.text for f in self.principal],
                 "premises": []}
 
     @staticmethod
-    def json_reader(doc: dict) -> Callable[[tuple], "ScProof"]:
-        seq = Sequent.of([parse(t) for t in doc["sequent"]["left"]],
-                         [parse(t) for t in doc["sequent"]["right"]])
+    def json_reader(doc: dict, formulas: dict) -> Callable[[tuple], "ScProof"]:
+        seq = Sequent.of([shared(formulas, t, parse) for t in doc["sequent"]["left"]],
+                         [shared(formulas, t, parse) for t in doc["sequent"]["right"]])
         rule = ScRule(doc["rule"])
-        principal = tuple(parse(t) for t in doc.get("principal", []))
+        principal = tuple(shared(formulas, t, parse) for t in doc.get("principal", []))
         return lambda premises: ScProof(rule, seq, principal, premises)
 
     def label(self) -> str:
@@ -337,6 +337,8 @@ def weaken(p: ScProof, left: Iterable[Formula], right: Iterable[Formula]) -> ScP
     """Extend a proof to a superset sequent with explicit weakenings."""
     left = frozenset(left)
     right = frozenset(right)
+    if left == p.sequent.left and right == p.sequent.right:
+        return p
     if not (p.sequent.left <= left and p.sequent.right <= right):
         raise ValueError("weaken target must extend the proved sequent")
     cur = p

@@ -26,12 +26,13 @@ class Sequent:
         return render_sequent(self)
 
 
-def _side(fs: Iterable[Formula]) -> str:
-    return ", ".join(f.text for f in sorted(fs, key=formula_key))
+def side_texts(fs: Iterable[Formula]) -> list[str]:
+    """The texts of a side's formulas, in ``formula_key`` order."""
+    return [f.text for f in sorted(fs, key=formula_key)]
 
 
 def render_sequent(s: Sequent) -> str:
-    return f"{_side(s.left)} => {_side(s.right)}".strip()
+    return f"{', '.join(side_texts(s.left))} => {', '.join(side_texts(s.right))}".strip()
 
 
 def parse_sequent(text: str) -> Sequent:

@@ -19,7 +19,7 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .matrix import LogicalMatrix, M4, TruthValue, Valuation, evaluate
-from .proofs import CheckError, from_json, passes, render, to_json, walk
+from .proofs import CheckError, from_json, passes, render, shared, to_json, walk
 from .search import Step, decide
 from .syntax import And, Box, Formula, Neg, Or, formula_key, parse
 
@@ -166,21 +166,22 @@ class SFDerivation:
     signed: frozenset[SignedFormula]
     premises: tuple["SFDerivation", ...] = ()
 
-    def _signed_texts(self) -> list[str]:
-        return [str(sf) for sf in sorted(self.signed,
-                                         key=lambda sf: (sf.sign, formula_key(sf.formula)))]
-
-    def json_fields(self) -> dict:
-        return {"signed": self._signed_texts(), "rule": self.rule, "premises": []}
+    def json_fields(self, sets: dict) -> dict:
+        return {"signed": shared(sets, self.signed, _signed_texts), "rule": self.rule,
+                "premises": []}
 
     @staticmethod
-    def json_reader(doc: dict) -> Callable[[tuple], "SFDerivation"]:
+    def json_reader(doc: dict, signed_formulas: dict) -> Callable[[tuple], "SFDerivation"]:
         rule = doc["rule"]
-        signed = frozenset(parse_signed(s) for s in doc["signed"])
+        signed = frozenset(shared(signed_formulas, s, parse_signed) for s in doc["signed"])
         return lambda premises: SFDerivation(rule, signed, premises)
 
     def label(self) -> str:
-        return f"{{{', '.join(self._signed_texts())}}}   [{self.rule}]"
+        return f"{{{', '.join(_signed_texts(self.signed))}}}   [{self.rule}]"
+
+
+def _signed_texts(signed: frozenset[SignedFormula]) -> list[str]:
+    return [str(sf) for sf in sorted(signed, key=lambda sf: (sf.sign, formula_key(sf.formula)))]
 
 
 def _is_axiom_set(signed: frozenset[SignedFormula], m: LogicalMatrix) -> bool:

@@ -29,3 +29,28 @@ def pool_by_count():
 def small_pool(pool_by_count):
     """All 134 formulas over {p, q} with at most two connectives."""
     return [f for c in range(3) for f in pool_by_count[c]]
+
+
+def checked_nd_to_sc(d):
+    """``nd_to_sc(d)``, checked: it passes the checker with cut allowed,
+    proves exactly the deduction's open assumptions => its conclusion,
+    and no cut has an axiom for a premise (weakenings skipped).  Returns
+    the proof with its node and cut counts."""
+    from tml.nd import nd_to_sc, verify_nd
+    from tml.proofs import walk
+    from tml.sc import ScRule, verify_sc_proof
+    from tml.sequents import Sequent
+
+    back = nd_to_sc(d)
+    verify_sc_proof(back, allow_cut=True)
+    assert back.sequent == Sequent(verify_nd(d), frozenset({d.conclusion}))
+    nodes = cuts = 0
+    for node, _, entering in walk(back):
+        nodes += entering
+        if entering and node.rule is ScRule.CUT:
+            cuts += 1
+            for q in node.premises:
+                while q.rule in (ScRule.WEAK_L, ScRule.WEAK_R):
+                    q = q.premises[0]
+                assert q.rule is not ScRule.AXIOM, node.sequent
+    return back, nodes, cuts

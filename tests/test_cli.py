@@ -201,6 +201,19 @@ class TestCheckAndTranslate:
             assert run(["check", "--calculus", calculus, str(path)]) == 1, calculus
             assert capsys.readouterr().out == f"invalid: {want}\n"
 
+    def test_formula_of_the_wrong_type(self, tmp_path, capsys):
+        # a list where a formula text goes fails in the parser, with the
+        # message the parser gives for it
+        from tml.syntax import parse
+        with pytest.raises(AttributeError) as exc:
+            parse(["p"])
+        doc = {"rule": "axiom", "sequent": {"left": [["p"]], "right": ["p"]},
+               "principal": ["p"], "premises": []}
+        path = tmp_path / "bad_type.json"
+        path.write_text(json.dumps(doc))
+        assert run(["check", "--calculus", "sc", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: AttributeError: {exc.value}\n"
+
     def test_necessitate(self, tmp_path, capsys):
         path = self._proof_file(tmp_path, "=> p | ~#p")
         assert run(["translate", "necessitate", str(path)]) == 0
@@ -278,8 +291,8 @@ class TestProbeCut:
             "cut-free G proof within height 12: False\n"
             "cut-free two-sided proof: True\n"
             "exhaustive: the G search explored every cut-free backward step "
-            "without reaching the height bound, so no cut-free G proof exists "
-            "at any height\n")
+            "or refuted it by a countermodel, without reaching the height bound, "
+            "so no cut-free G proof exists at any height\n")
 
     def test_stats_go_to_stderr(self, capsys):
         for argv in [["probe-cut", "--alpha", "p"], ["probe-cut", "--depth", "1"],

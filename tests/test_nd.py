@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from conftest import checked_nd_to_sc
 
 from tml.matrix import degree_consequence, matrix_consequence
 from tml.nd import (NDDeduction, NdCheckError, NdTranslationError, check_nd,
@@ -291,7 +292,7 @@ class TestRoundTrip:
 
     def test_random_corpus(self, small_pool):
         rng = random.Random(12)
-        done = 0
+        done = nodes = cuts = 0
         while done < 60:
             g = rng.sample(small_pool, rng.randrange(0, 3))
             d_side = rng.sample(small_pool, rng.randrange(0, 3))
@@ -304,9 +305,13 @@ class TestRoundTrip:
             res = check_nd(ded)
             assert res.ok, (str(seq), res.error)
             assert res.open <= seq.left
-            back = nd_to_sc(ded)
-            assert check_sc_proof(back, allow_cut=True)
+            back, n, c = checked_nd_to_sc(ded)
             assert matrix_consequence(back.sequent.left, back.sequent.right)
+            nodes += n
+            cuts += c
+        # 10,257 nodes and 1,671 cuts with a cut per deduction step;
+        # 5,162 and 198 with sequent rules where the deduction allows them
+        assert nodes <= 5_300 and cuts <= 210, (nodes, cuts)
 
     def test_degree_soundness_of_checked_deductions(self, small_pool):
         rng = random.Random(13)

@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from conftest import checked_nd_to_sc
 
 from tml import sc
 from tml.nd import (NDDeduction, hyp, nd_to_json, nd_to_sc, render_nd, sc_to_nd,
@@ -60,7 +61,7 @@ def _digest(items, to_json, render) -> str:
 # transformed proofs of the corpora above.
 CONTRAPOSE_FINGERPRINT = "24b04228b6e9901a6b6a0f1249fa091a48bcfda1464992e446d6188ae81379d8"
 NECESSITATE_FINGERPRINT = "c8b4cade54c2b3c0edfd9a51615b1dc3c3c2d8303926863dd8ac0dde95d8f153"
-ND_ROUND_TRIP_FINGERPRINT = "b36dd7d934d2cb0532465adb35052649b631f726891236f94670d4e5c77fb948"
+ND_ROUND_TRIP_FINGERPRINT = "96c090e8f240e889b027d600e64520d97b0195be7b960f912174ec6724157c6a"
 SC_TO_ND_WEAKENED_FINGERPRINT = "074df8222846fa60f648f3def3c9e922e8ebbbd65ba6a5d371e72e37e73f8c24"
 
 
@@ -93,6 +94,18 @@ def test_nd_round_trip_fingerprint(corpus):
     chosen = corpus[::4] + rare[:6]
     got = _digest([nd_to_sc(sc_to_nd(p)) for p in chosen], proof_to_json, render_proof)
     assert got == ND_ROUND_TRIP_FINGERPRINT, got
+
+
+def test_nd_round_trip_cuts_only_where_needed(corpus):
+    # 92,464 nodes and 14,989 cuts when every deduction step was a cut
+    # against a lemma; 43,512 and 1,321 with sequent rules where the
+    # deduction allows them
+    nodes = cuts = 0
+    for p in corpus:
+        _, n, c = checked_nd_to_sc(sc_to_nd(p))
+        nodes += n
+        cuts += c
+    assert nodes <= 44_000 and cuts <= 1_400, (nodes, cuts)
 
 
 def test_sc_to_nd_weakened_fingerprint(pool_by_count):
