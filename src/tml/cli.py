@@ -144,8 +144,7 @@ def _cmd_countermodel(args) -> int:
 
 
 def _print_proof(proof, fmt: str) -> int:
-    print(json.dumps(proofs.to_json(proof), indent=2) if fmt == "json"
-          else proofs.render(proof))
+    print(proofs.dumps(proof) if fmt == "json" else proofs.render(proof))
     return EXIT_YES
 
 
@@ -204,14 +203,14 @@ def _cmd_check(args) -> int:
 def _cmd_translate(args) -> int:
     doc = _load_json(args.file)
     if args.mode == "contrapose":
-        out = sc.proof_to_json(sc.contrapose(sc.proof_from_json(doc)))
+        out = sc.contrapose(sc.proof_from_json(doc))
     elif args.mode == "necessitate":
-        out = sc.proof_to_json(sc.necessitate(sc.proof_from_json(doc)))
+        out = sc.necessitate(sc.proof_from_json(doc))
     elif args.mode == "sc2nd":
-        out = nd.nd_to_json(nd.sc_to_nd(sc.proof_from_json(doc)))
+        out = nd.sc_to_nd(sc.proof_from_json(doc))
     else:
-        out = sc.proof_to_json(nd.nd_to_sc(nd.nd_from_json(doc)))
-    print(json.dumps(out, indent=2))
+        out = nd.nd_to_sc(nd.nd_from_json(doc))
+    print(proofs.dumps(out))
     return EXIT_YES
 
 

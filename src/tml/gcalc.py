@@ -12,9 +12,12 @@ every sequent with a countermodel without expanding it, testing each
 on value planes computed once per formula of the goal.  When the bound
 cut no branch off, a miss is exhaustive: the sequents the search failed
 on and those it dropped form a certificate (``GUnprovable``) that
-``verify_g_unprovable`` checks with the pointwise evaluator and its own
-enumeration of rule instances, and the probe reports the miss as
-exhaustive only when that certificate checks.
+``verify_g_unprovable`` checks with the pointwise evaluator, and the
+probe reports the miss as exhaustive only when that certificate checks.
+The proof checker and the certificate check share one list of G's rule
+instances, ``_rule_instances``; the search has its own,
+``_backward_steps``, so that no certificate rests on the enumeration
+it certifies.
 """
 
 from __future__ import annotations
@@ -103,141 +106,122 @@ def _modal_axiom_shape(f: Formula) -> bool:
             and isinstance(f.right.child, Box) and f.right.child.child is f.left)
 
 
+def _is_axiom(seq: GSequent, rule: GRule) -> bool:
+    """Whether seq is an instance of the axiom rule, a => a or => a | ~#a."""
+    if rule is GRule.STRUCT_AX:
+        return seq.left == frozenset({seq.right})
+    return not seq.left and _modal_axiom_shape(seq.right)
+
+
+def _logical_instances(seq: GSequent) -> Iterator[tuple[GRule, list[GSequent]]]:
+    """The premises of every instance of a logical rule or g.bot
+    concluding seq, as both the proof checker and certificates take them."""
+    L, phi = seq.left, seq.right
+    for pi in L:
+        for ctx in (L - {pi}, L):
+            if isinstance(pi, And):
+                yield GRule.AND_L, [GSequent(ctx | {pi.left, pi.right}, phi)]
+            if isinstance(pi, Or):
+                yield GRule.OR_L, [GSequent(ctx | {pi.left}, phi),
+                                   GSequent(ctx | {pi.right}, phi)]
+            if isinstance(pi, Neg) and isinstance(pi.child, Neg):
+                yield GRule.NEG_NEG_L, [GSequent(ctx | {pi.child.child}, phi)]
+            if isinstance(pi, Neg) and isinstance(pi.child, Box) and pi.child.child in L:
+                alpha = pi.child.child
+                yield GRule.BOX_L, [GSequent(ctx | {alpha, Neg(alpha)}, phi)]
+    if isinstance(phi, And):
+        yield GRule.AND_R, [GSequent(L, phi.left), GSequent(L, phi.right)]
+        if (isinstance(phi.right, Neg) and isinstance(phi.right.child, Box)
+                and phi.right.child.child is phi.left):
+            yield GRule.BOX_R, [GSequent(L, And(phi.left, Neg(phi.left)))]
+    if isinstance(phi, Or):
+        yield GRule.OR_R1, [GSequent(L, phi.left)]
+        yield GRule.OR_R2, [GSequent(L, phi.right)]
+    if isinstance(phi, Neg) and isinstance(phi.child, Neg):
+        yield GRule.NEG_NEG_R, [GSequent(L, phi.child.child)]
+    if isinstance(phi, Neg) and len(L) == 1:
+        (lone,) = L
+        if isinstance(lone, Neg):
+            yield GRule.NEG, [GSequent(frozenset({phi.child}), lone.child)]
+    yield GRule.BOT_RULE, [GSequent(L, BOT)]
+
+
 def verify_g_proof(p: GProof, allow_cut: bool = False) -> None:
-    """Raise CheckError at the first node, in pre-order, that breaks its rule."""
+    """Raise CheckError at the first node, in pre-order, that breaks its
+    rule.  A node of a logical rule or g.bot passes when its rule and
+    premises are among the ``_logical_instances`` of its sequent, the
+    list that certificates of unprovability are checked against too."""
     for node, path, entering in walk(p):
         if not entering:
             continue
-        seq = node.sequent
+        seq, rule = node.sequent, node.rule
         L, phi = seq.left, seq.right
         prems = [q.sequent for q in node.premises]
-        n = len(prems)
-        rule = node.rule
-        ok = False
-        if rule is GRule.STRUCT_AX:
-            ok = n == 0 and L == frozenset({phi})
-        elif rule is GRule.MODAL_AX:
-            ok = n == 0 and not L and _modal_axiom_shape(phi)
+        if rule in (GRule.STRUCT_AX, GRule.MODAL_AX):
+            ok = not prems and _is_axiom(seq, rule)
         elif rule is GRule.WEAK:
-            ok = (n == 1 and prems[0].right is phi and prems[0].left <= L
+            ok = (len(prems) == 1 and prems[0].right is phi and prems[0].left <= L
                   and len(L - prems[0].left) <= 1)
         elif rule is GRule.CUT:
             if not allow_cut:
                 raise CheckError(path, "cut is not allowed here", rule)
-            ok = (n == 2 and prems[0].left == L and prems[1].right is phi
+            ok = (len(prems) == 2 and prems[0].left == L and prems[1].right is phi
                   and prems[1].left == L | {prems[0].right})
-        elif rule is GRule.AND_L:
-            if n == 1 and prems[0].right is phi:
-                for pi in L:
-                    if isinstance(pi, And):
-                        for ctx in (L - {pi}, L):
-                            if prems[0].left == ctx | {pi.left, pi.right}:
-                                ok = True
-        elif rule is GRule.AND_R:
-            ok = (n == 2 and isinstance(phi, And)
-                  and prems[0] == GSequent(L, phi.left)
-                  and prems[1] == GSequent(L, phi.right))
-        elif rule is GRule.OR_L:
-            if n == 2 and all(q.right is phi for q in prems):
-                for pi in L:
-                    if isinstance(pi, Or):
-                        for ctx in (L - {pi}, L):
-                            if (prems[0].left == ctx | {pi.left}
-                                    and prems[1].left == ctx | {pi.right}):
-                                ok = True
-        elif rule in (GRule.OR_R1, GRule.OR_R2):
-            if n == 1 and isinstance(phi, Or) and prems[0].left == L:
-                want = phi.left if rule is GRule.OR_R1 else phi.right
-                ok = prems[0].right is want
-        elif rule is GRule.NEG:
-            # contraposition carries no context: from a => b to ~b => ~a
-            if (n == 1 and isinstance(phi, Neg) and len(L) == 1):
-                (lone,) = L
-                if isinstance(lone, Neg):
-                    ok = prems[0] == GSequent(frozenset({phi.child}), lone.child)
-        elif rule is GRule.BOT_RULE:
-            ok = n == 1 and prems[0] == GSequent(L, BOT)
-        elif rule is GRule.NEG_NEG_L:
-            if n == 1 and prems[0].right is phi:
-                for pi in L:
-                    if isinstance(pi, Neg) and isinstance(pi.child, Neg):
-                        for ctx in (L - {pi}, L):
-                            if prems[0].left == ctx | {pi.child.child}:
-                                ok = True
-        elif rule is GRule.NEG_NEG_R:
-            ok = (n == 1 and isinstance(phi, Neg) and isinstance(phi.child, Neg)
-                  and prems[0] == GSequent(L, phi.child.child))
-        elif rule is GRule.BOX_L:
-            # from D, a, ~a => c conclude D, a, ~#a => c
-            if n == 1 and prems[0].right is phi:
-                for pi in L:
-                    if (isinstance(pi, Neg) and isinstance(pi.child, Box)
-                            and pi.child.child in L):
-                        alpha = pi.child.child
-                        for ctx in (L - {pi}, L):
-                            if prems[0].left == ctx | {alpha, Neg(alpha)}:
-                                ok = True
-        elif rule is GRule.BOX_R:
-            # from D => a & ~a conclude D => a & ~#a
-            if (n == 1 and isinstance(phi, And) and isinstance(phi.right, Neg)
-                    and isinstance(phi.right.child, Box)
-                    and phi.right.child.child is phi.left):
-                alpha = phi.left
-                ok = prems[0] == GSequent(L, And(alpha, Neg(alpha)))
-        else:  # pragma: no cover
-            raise CheckError(path, "unknown rule", rule)
+        else:
+            ok = (rule, prems) in _logical_instances(seq)
         if not ok:
             raise CheckError(path, "premises do not instantiate the schema", rule)
-
 
 
 # ---------------------------------------------------------------------------
 # Bounded cut-free backward search.
 
-def _backward_steps(seq: GSequent) -> list[tuple[GRule, list[GSequent]]]:
+def _backward_steps(seq: GSequent) -> Iterator[tuple[GRule, list[GSequent]]]:
+    """The search's own list of the cut-free backward steps from seq, in
+    the order it tries them, each made when the search asks for it.  A
+    step with seq among its premises could only fail and is left out;
+    only a left rule that keeps its principal formula can make one."""
     L, phi = seq.left, seq.right
-    out: list[tuple[GRule, list[GSequent]]] = []
+    ordered = sorted(L, key=formula_key)
+    for beta in ordered:
+        yield GRule.WEAK, [GSequent(L - {beta}, phi)]
 
-    for beta in sorted(L, key=formula_key):
-        out.append((GRule.WEAK, [GSequent(L - {beta}, phi)]))
-
-    for pi in sorted(L, key=formula_key):
+    for pi in ordered:
         if isinstance(pi, And):
-            for ctx in (L - {pi}, L):
-                out.append((GRule.AND_L, [GSequent(ctx | {pi.left, pi.right}, phi)]))
+            rule, parts = GRule.AND_L, ({pi.left, pi.right},)
         elif isinstance(pi, Or):
-            for ctx in (L - {pi}, L):
-                out.append((GRule.OR_L, [GSequent(ctx | {pi.left}, phi),
-                                         GSequent(ctx | {pi.right}, phi)]))
+            rule, parts = GRule.OR_L, ({pi.left}, {pi.right})
         elif isinstance(pi, Neg) and isinstance(pi.child, Neg):
-            for ctx in (L - {pi}, L):
-                out.append((GRule.NEG_NEG_L, [GSequent(ctx | {pi.child.child}, phi)]))
+            rule, parts = GRule.NEG_NEG_L, ({pi.child.child},)
         elif (isinstance(pi, Neg) and isinstance(pi.child, Box)
               and pi.child.child in L):
             alpha = pi.child.child
-            for ctx in (L - {pi}, L):
-                out.append((GRule.BOX_L, [GSequent(ctx | {alpha, Neg(alpha)}, phi)]))
+            rule, parts = GRule.BOX_L, ({alpha, Neg(alpha)},)
+        else:
+            continue
+        for ctx in (L - {pi}, L):
+            prems = [GSequent(ctx | part, phi) for part in parts]
+            if seq not in prems:
+                yield rule, prems
 
     if isinstance(phi, And):
-        out.append((GRule.AND_R, [GSequent(L, phi.left), GSequent(L, phi.right)]))
+        yield GRule.AND_R, [GSequent(L, phi.left), GSequent(L, phi.right)]
         if (isinstance(phi.right, Neg) and isinstance(phi.right.child, Box)
                 and phi.right.child.child is phi.left):
-            out.append((GRule.BOX_R, [GSequent(L, And(phi.left, Neg(phi.left)))]))
+            yield GRule.BOX_R, [GSequent(L, And(phi.left, Neg(phi.left)))]
     elif isinstance(phi, Or):
-        out.append((GRule.OR_R1, [GSequent(L, phi.left)]))
-        out.append((GRule.OR_R2, [GSequent(L, phi.right)]))
+        yield GRule.OR_R1, [GSequent(L, phi.left)]
+        yield GRule.OR_R2, [GSequent(L, phi.right)]
     elif isinstance(phi, Neg):
         if isinstance(phi.child, Neg):
-            out.append((GRule.NEG_NEG_R, [GSequent(L, phi.child.child)]))
+            yield GRule.NEG_NEG_R, [GSequent(L, phi.child.child)]
         if len(L) == 1:
             (lone,) = L
             if isinstance(lone, Neg):
-                out.append((GRule.NEG, [GSequent(frozenset({phi.child}), lone.child)]))
+                yield GRule.NEG, [GSequent(frozenset({phi.child}), lone.child)]
 
     if phi is not BOT:
-        out.append((GRule.BOT_RULE, [GSequent(L, BOT)]))
-
-    return out
+        yield GRule.BOT_RULE, [GSequent(L, BOT)]
 
 
 class GSearchStats:
@@ -300,9 +284,6 @@ class _Refuter:
         return (mask & -mask).bit_length() - 1
 
 
-_OPEN = object()   # the sequent opened last has a frame and no result yet
-
-
 def _bounded_search(s: GSequent, depth: int, stats: GSearchStats,
                     ) -> tuple[Optional[GProof], dict[GSequent, int],
                                dict[GSequent, int], list[str]]:
@@ -325,11 +306,11 @@ def _bounded_search(s: GSequent, depth: int, stats: GSearchStats,
     refute = _Refuter(s)
     expanded = memo_hits = pruned = validity_hits = 0
     bound_hit = False
-    # frames [sequent, budget, steps, index of the current step, premise proofs]
+    # frames [sequent, budget, its steps to come, the current step, premise proofs]
     stack: list[list] = []
     seq, budget = s, depth
     while True:
-        result: object = None
+        result: Optional[GProof] = None
         if budget <= 0:
             bound_hit = True
         elif failed_at.get(seq, -1) >= budget:
@@ -349,28 +330,27 @@ def _bounded_search(s: GSequent, depth: int, stats: GSearchStats,
                 result = GProof(GRule.MODAL_AX, seq)
             else:
                 expanded += 1
-                stack.append([seq, budget, [(rule, prems) for rule, prems
-                                            in _backward_steps(seq) if seq not in prems], 0, []])
-                result = _OPEN
+                # with no result yet, the new frame moves to its first step
+                stack.append([seq, budget, _backward_steps(seq), None, None])
         # hand the result up until some frame has a premise to open
         while stack:
             frame = stack[-1]
-            top, top_budget, steps, i, subs = frame
+            top, top_budget, steps, step, subs = frame
             if result is None:
-                i = frame[3] = i + 1
+                step = frame[3] = next(steps, None)
                 subs = frame[4] = []
-            elif result is not _OPEN:
+            else:
                 subs.append(result)
-            if i == len(steps):
+            if step is None:
                 stack.pop()
                 if top_budget > failed_at.get(top, -1):
                     failed_at[top] = top_budget
                 result = None
-            elif len(subs) == len(steps[i][1]):
+            elif len(subs) == len(step[1]):
                 stack.pop()
-                result = GProof(steps[i][0], top, tuple(subs))
+                result = GProof(step[0], top, tuple(subs))
             else:
-                seq, budget = steps[i][1][len(subs)], top_budget - 1
+                seq, budget = step[1][len(subs)], top_budget - 1
                 break
         else:
             stats.expanded += expanded
@@ -404,42 +384,14 @@ class GUnprovable(NamedTuple):
 
 
 def _rule_instances(seq: GSequent) -> Iterator[tuple[GRule, list[GSequent]]]:
-    """The premises of every cut-free rule instance concluding seq, read
-    off the schemas of ``verify_g_proof`` and written apart from the
-    search's ``_backward_steps``, so that a certificate does not rest on
-    the enumeration it certifies.  Instances whose premise is seq itself
-    are included; they hold trivially."""
-    L, phi = seq.left, seq.right
+    """The premises of every cut-free rule instance concluding seq:
+    weakening, which ``verify_g_proof`` checks by a subset test, then
+    ``_logical_instances``.  Instances whose premise is seq itself are
+    included; they hold trivially."""
     yield GRule.WEAK, [seq]
-    for beta in L:
-        yield GRule.WEAK, [GSequent(L - {beta}, phi)]
-    for pi in L:
-        for ctx in (L - {pi}, L):
-            if isinstance(pi, And):
-                yield GRule.AND_L, [GSequent(ctx | {pi.left, pi.right}, phi)]
-            if isinstance(pi, Or):
-                yield GRule.OR_L, [GSequent(ctx | {pi.left}, phi),
-                                   GSequent(ctx | {pi.right}, phi)]
-            if isinstance(pi, Neg) and isinstance(pi.child, Neg):
-                yield GRule.NEG_NEG_L, [GSequent(ctx | {pi.child.child}, phi)]
-            if isinstance(pi, Neg) and isinstance(pi.child, Box) and pi.child.child in L:
-                alpha = pi.child.child
-                yield GRule.BOX_L, [GSequent(ctx | {alpha, Neg(alpha)}, phi)]
-    if isinstance(phi, And):
-        yield GRule.AND_R, [GSequent(L, phi.left), GSequent(L, phi.right)]
-        if (isinstance(phi.right, Neg) and isinstance(phi.right.child, Box)
-                and phi.right.child.child is phi.left):
-            yield GRule.BOX_R, [GSequent(L, And(phi.left, Neg(phi.left)))]
-    if isinstance(phi, Or):
-        yield GRule.OR_R1, [GSequent(L, phi.left)]
-        yield GRule.OR_R2, [GSequent(L, phi.right)]
-    if isinstance(phi, Neg) and isinstance(phi.child, Neg):
-        yield GRule.NEG_NEG_R, [GSequent(L, phi.child.child)]
-    if isinstance(phi, Neg) and len(L) == 1:
-        (lone,) = L
-        if isinstance(lone, Neg):
-            yield GRule.NEG, [GSequent(frozenset({phi.child}), lone.child)]
-    yield GRule.BOT_RULE, [GSequent(L, BOT)]
+    for beta in seq.left:
+        yield GRule.WEAK, [GSequent(seq.left - {beta}, seq.right)]
+    yield from _logical_instances(seq)
 
 
 def verify_g_unprovable(goal: GSequent, cert: GUnprovable) -> None:
@@ -459,8 +411,7 @@ def verify_g_unprovable(goal: GSequent, cert: GUnprovable) -> None:
         if not refuted:
             raise ValueError(f"{seq}: {render_valuation(v)} is no countermodel")
     for seq in cert.failed:
-        if (seq.left == frozenset({seq.right})
-                or not seq.left and _modal_axiom_shape(seq.right)):
+        if _is_axiom(seq, GRule.STRUCT_AX) or _is_axiom(seq, GRule.MODAL_AX):
             raise ValueError(f"{seq} is an axiom")
         for rule, prems in _rule_instances(seq):
             if not any(p in members for p in prems):

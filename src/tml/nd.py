@@ -677,8 +677,7 @@ def _lemma_box_vs_plain(phi: Formula) -> ScProof:
 class _ToSc:
     """Reverse translation.  Each node yields a proof of open => concl,
     or of open => with an empty right side for deductions ending in the
-    falsum introduction (the falsum constant has no sequent rules), and
-    whether the right side is empty.
+    falsum introduction (the falsum constant has no sequent rules).
 
     A deduction rule that stands for a sequent rule becomes that rule
     wherever the deduction allows:
@@ -697,49 +696,42 @@ class _ToSc:
     introduction (to split psi | a)."""
 
     def translate(self, d: NDDeduction) -> ScProof:
-        proof, empty = fold(d, self._step)
-        if empty:
-            return sc.weaken(proof, proof.sequent.left, [BOT])
-        return proof
+        return self._mat(fold(d, self._step), BOT)
 
     @staticmethod
-    def _mat(pair: tuple[ScProof, bool], phi: Formula) -> ScProof:
-        proof, empty = pair
-        if empty:
+    def _mat(proof: ScProof, phi: Formula) -> ScProof:
+        """The proof, with phi on its right side where that is empty."""
+        if not proof.sequent.right:
             return sc.weaken(proof, proof.sequent.left, [phi])
         return proof
 
-    def _step(self, d: NDDeduction, results: list[tuple[ScProof, bool]],
-              ) -> tuple[ScProof, bool]:
+    def _step(self, d: NDDeduction, results: list[ScProof]) -> ScProof:
         r = d.rule
         c = d.conclusion
         if r == "hyp":
-            return _axiom(c), False
+            return _axiom(c)
         if r == "ma":
             a = c.left
             base = _axiom(a)
             step = ScProof(ScRule.NEG_BOX_R1, Sequent.of([], [a, Neg(Box(a))]),
                            (Neg(Box(a)),), (sc.weaken(base, [a], [a]),))
-            full = ScProof(ScRule.OR_R, Sequent.of([], [c]), (c,), (step,))
-            return full, False
+            return ScProof(ScRule.OR_R, Sequent.of([], [c]), (c,), (step,))
         if r == "bot_e":
-            proof, empty = results[0]
-            if not empty:
+            proof = results[0]
+            if proof.sequent.right:
                 raise NdTranslationError(
                     "falsum obtained from a bare hypothesis cannot be expressed "
                     "in the sequent calculus")
-            if c is BOT:
-                return proof, True
-            return sc.weaken(proof, proof.sequent.left, [c]), False
+            return proof if c is BOT else self._mat(proof, c)
 
         prems = [q.conclusion for q in d.premises]
-        ps = [self._mat(pair, f) for pair, f in zip(results, prems)]
+        ps = [self._mat(p, f) for p, f in zip(results, prems)]
         rule = _SC_RULE.get(r)
         if rule in _ND_INTRO:
             left = frozenset().union(*(p.sequent.left for p in ps))
             ws = tuple(sc.weaken(p, left, added)
                        for p, added in zip(ps, _added(rule, c)))
-            return ScProof(rule, Sequent(left, frozenset({c})), (c,), ws), False
+            return ScProof(rule, Sequent(left, frozenset({c})), (c,), ws)
         if rule in (ScRule.OR_L, ScRule.NEG_AND_L):
             return self._case_split(d, ps[0], results, rule)
         if rule is not None:   # a one-premise elimination
@@ -747,8 +739,8 @@ class _ToSc:
             if d.premises[0].rule == "hyp":
                 (added,) = _added(rule, src)
                 base = sc.axiom([src, *added], [c])
-                return ScProof(rule, Sequent.of([src], [c]), (src,), (base,)), False
-            return sc.cut(p, sc._lemma(rule, src, c), src, p.sequent.left, [c]), False
+                return ScProof(rule, Sequent.of([src], [c]), (src,), (base,))
+            return sc.cut(p, sc._lemma(rule, src, c), src, p.sequent.left, [c])
 
         if r == "box_i_star":
             return self._box_i_star(d, ps)
@@ -764,33 +756,30 @@ class _ToSc:
             eq = _lemma_box_vs_plain(phi)
             to_plain = sc.cut(both, eq, conj_box, left, [conj_plain])
             drop = sc._lemma(ScRule.AND_L, conj_plain, Neg(phi))
-            return sc.cut(to_plain, drop, conj_plain, left, [Neg(phi)]), False
+            return sc.cut(to_plain, drop, conj_plain, left, [Neg(phi)])
         if r == "bot_i":
             (src,), (p,) = prems, ps
             lemma = sc.falsum_proof(src.right.child)
-            return sc.cut(p, lemma, src, p.sequent.left, []), True
+            return sc.cut(p, lemma, src, p.sequent.left, [])
         raise NdTranslationError(f"unknown rule {r!r}")
 
-    def _case_split(self, d: NDDeduction, p0: ScProof,
-                    results: list[tuple[ScProof, bool]], rule: ScRule,
-                    ) -> tuple[ScProof, bool]:
+    def _case_split(self, d: NDDeduction, p0: ScProof, results: list[ScProof],
+                    rule: ScRule) -> ScProof:
         c = d.conclusion
         main = d.premises[0].conclusion
         (a,), (b,) = _added(rule, main)
-        pair1, pair2 = results[1], results[2]
-        empty = pair1[1] and pair2[1]
-        right: list[Formula] = [] if empty else [c]
-        q1 = pair1[0] if empty else self._mat(pair1, c)
-        q2 = pair2[0] if empty else self._mat(pair2, c)
+        # an empty right side only where both cases end in falsum
+        right: list[Formula] = [c] if any(r.sequent.right for r in results[1:]) else []
+        q1, q2 = (self._mat(r, c) if right else r for r in results[1:])
         left = (p0.sequent.left | (q1.sequent.left - {a}) | (q2.sequent.left - {b}))
         w1 = sc.weaken(q1, left | {a}, right)
         w2 = sc.weaken(q2, left | {b}, right)
         node = ScProof(rule, Sequent(left | {main}, frozenset(right)), (main,), (w1, w2))
         if main in left:   # an open assumption already: no cut needed
-            return node, empty
-        return sc.cut(p0, node, main, left, right), empty
+            return node
+        return sc.cut(p0, node, main, left, right)
 
-    def _box_i_star(self, d: NDDeduction, ps: list[ScProof]) -> tuple[ScProof, bool]:
+    def _box_i_star(self, d: NDDeduction, ps: list[ScProof]) -> ScProof:
         c = d.conclusion
         psi, boxed = c.left, c.right
         a = boxed.child
@@ -805,8 +794,7 @@ class _ToSc:
         side = sc.weaken(p1, left | {Neg(a)}, [psi])
         boxed_in = ScProof(ScRule.BOX_R, Sequent(left, frozenset({psi, boxed})),
                            (boxed,), (opened, side))
-        folded = ScProof(ScRule.OR_R, Sequent(left, frozenset({c})), (c,), (boxed_in,))
-        return folded, False
+        return ScProof(ScRule.OR_R, Sequent(left, frozenset({c})), (c,), (boxed_in,))
 
 
 def nd_to_sc(d: NDDeduction) -> ScProof:

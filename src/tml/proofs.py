@@ -12,11 +12,12 @@ here, all iterative.
 
 from __future__ import annotations
 
+import json
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 
-__all__ = ["Path", "CheckError", "passes", "walk", "fold", "shared", "to_json", "from_json",
-           "render"]
+__all__ = ["Path", "CheckError", "passes", "walk", "fold", "shared", "to_json", "dumps",
+           "from_json", "render"]
 
 Path = tuple[int, ...]   # premise indices from the root down to a node
 
@@ -118,6 +119,40 @@ def to_json(root: Any) -> dict:
                 docs[-1]["premises"].append(doc)
             docs.append(doc)
     return docs[0]
+
+
+def dumps(root: Any) -> str:
+    """``json.dumps(to_json(root), indent=2)``, byte for byte, on an
+    explicit stack: the standard library's indenting encoder nests a
+    generator per open level, so its time grows with height times size
+    and it fails past the recursion limit."""
+    out: list[str] = []
+    # a str is text to write; a pair is a value and the line break that
+    # starts each line of its level, one string shared by those lines
+    todo: list[Any] = [(to_json(root), "\n")]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        value, nl = item
+        if not value or not isinstance(value, (dict, list)):
+            out.append(json.dumps(value))
+            continue
+        inner = nl + "  "
+        sep = "," + inner
+        if isinstance(value, dict):
+            out.append("{")
+            todo.append(nl + "}")
+            for k, v in reversed(value.items()):
+                todo += ((v, inner), f"{json.dumps(k)}: ", sep)
+        else:
+            out.append("[")
+            todo.append(nl + "]")
+            for v in reversed(value):
+                todo += ((v, inner), sep)
+        todo[-1] = inner   # no comma before the first item
+    return "".join(out)
 
 
 _json_premises = methodcaller("get", "premises", ())

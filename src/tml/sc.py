@@ -404,15 +404,9 @@ _PARTNERS = ((ScRule.OR_R, ScRule.NEG_OR_L), (ScRule.OR_L, ScRule.NEG_OR_R),
 _PARTNER = {**dict(_PARTNERS), **{b: a for a, b in _PARTNERS}}
 
 
-def contrapose(p: ScProof, rederive_cutfree: bool = False) -> ScProof:
+def contrapose(p: ScProof) -> ScProof:
     verify_sc_proof(p, allow_cut=False)
-    result = fold(p, _contrapose)
-    if rederive_cutfree:
-        reproved = prove(result.sequent)
-        if reproved is None:
-            raise RuntimeError("contraposed sequent unexpectedly unprovable")
-        return reproved
-    return result
+    return fold(p, _contrapose)
 
 
 def _apply(rule: ScRule, conclusion: Sequent, principal: Formula,

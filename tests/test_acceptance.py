@@ -31,6 +31,7 @@ from tml.gcalc import cut_necessity_probe
 from tml.matrix import (M4, bundled_m4_path, degree_consequence, load_matrix,
                         matrix_consequence)
 from tml.nd import check_nd, disjunction_of, nd_to_sc, sc_to_nd
+from tml.proofs import dumps
 from tml.sc import (check_sc_proof, contrapose, denecessitate, is_cut_free,
                     necessitate, proof_to_json, prove, render_proof)
 from tml.sequents import Sequent, parse_sequent, render_sequent
@@ -260,6 +261,11 @@ def test_sc_proof_fingerprint(corpus):
     assert h.hexdigest() == SC_CORPUS_FINGERPRINT, h.hexdigest()
     assert as_json.hexdigest() == SC_CORPUS_JSON_FINGERPRINT, as_json.hexdigest()
     assert as_text.hexdigest() == SC_CORPUS_TEXT_FINGERPRINT, as_text.hexdigest()
+
+
+def test_dumps_is_indented_json_dumps(corpus):
+    for _, proof in corpus["provable"]:
+        assert dumps(proof) == json.dumps(proof_to_json(proof), indent=2)
 
 
 def test_criterion_08_golden_derivations():

@@ -13,6 +13,18 @@ def capout(capsys):
     return grab
 
 
+class _Tally:
+    """A stdout that keeps only the first and last characters written."""
+
+    def __init__(self):
+        self.head = self.tail = ""
+
+    def write(self, text):
+        self.head = self.head or text[:100]
+        self.tail = (self.tail + text[-100:])[-100:]
+        return len(text)
+
+
 class TestBasics:
     def test_parse(self, capout):
         assert run(["parse", "p|~#p"]) == 0
@@ -93,6 +105,17 @@ class TestProve:
         assert lines[0].endswith("   [axiom]")
         assert lines[-2].startswith("x0 & x0, x1 & x1, x10 & x10, ")
         assert lines[-2].endswith(", z & z => z   [and_l]")
+
+    def test_json_proof_higher_than_the_recursion_limit(self, monkeypatch):
+        # 501 conjunctions: a 502-high proof whose indented JSON (434 MB,
+        # counted rather than kept) the standard library's encoder cannot
+        # write without passing the recursion limit
+        out = _Tally()
+        monkeypatch.setattr("sys.stdout", out)
+        sequent = ", ".join(f"x{i} & x{i}" for i in range(500)) + ", z & z => z"
+        assert run(["prove", "--format", "json", sequent]) == 0
+        assert out.head.startswith('{\n  "rule": "and_l",\n  "sequent": {\n')
+        assert out.tail.endswith("\n      ]\n    }\n  ]\n}\n")
 
     def test_json_output_round_trips_through_check(self, capsys, tmp_path):
         for calculus, sequent in [("sc", "=> #(p | ~#p)"),

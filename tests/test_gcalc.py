@@ -11,6 +11,7 @@ from tml.gcalc import (GCheckError, GProof, GRule, GSearchStats, GSequent,
                        g_proof_from_json, g_proof_to_json, g_search_cutfree,
                        render_g_proof, verify_g_proof, verify_g_unprovable)
 from tml.matrix import matrix_consequence
+from tml.proofs import dumps, walk
 from tml.syntax import And, BOT, Box, Neg, Var, parse, subformulas
 
 p, q = Var("p"), Var("q")
@@ -77,6 +78,16 @@ class TestChecker:
         assert exc.value.rule is GRule.MODAL_AX
         assert str(exc.value) == (
             "node [1, 0] (g.modal_ax): premises do not instantiate the schema")
+
+    def test_long_weakening_chain(self):
+        # 2000 weakenings, each adding one formula: a subset test per node
+        # takes milliseconds, listing each node's weakening instances would
+        # take time cubic in the length
+        xs = [Var(f"x{i}") for i in range(2000)]
+        pr = GProof(GRule.STRUCT_AX, GSequent.of([xs[0]], xs[0]))
+        for x in xs[1:]:
+            pr = GProof(GRule.WEAK, GSequent(pr.sequent.left | {x}, xs[0]), (pr,))
+        verify_g_proof(pr)
 
     def test_json_roundtrip(self):
         pr = g_search_cutfree(GSequent.of([parse("p & q")], p), 4)
@@ -318,6 +329,41 @@ def _root_step_passes(rule, seq, prems):
 # it, key order included) and the text rendering of the proofs found for
 # a fixed seeded list of single-conclusion sequents.
 G_PROOFS_FINGERPRINT = "0003bbe3185d77485767663f09290620e5a745db99c82a0d3c652a92b12fe5ae"
+
+
+@pytest.fixture(scope="module")
+def fingerprint_proofs(small_pool):
+    """The proofs of the fingerprint below."""
+    rng = random.Random(11)
+    goals = [GSequent.of(rng.sample(small_pool, rng.randrange(0, 3)), rng.choice(small_pool))
+             for _ in range(400)]
+    return [pr for pr in (g_search_cutfree(goal, 8) for goal in goals) if pr is not None]
+
+
+def test_relabelled_nodes_are_rejected(fingerprint_proofs):
+    # each node of each proof, under every other rule, passes exactly
+    # where that rule and the node's premises are also a rule instance;
+    # the premises' own subtrees check, so only the node can fail
+    relabelled = accepted = 0
+    for pr in fingerprint_proofs:
+        for node, _, entering in walk(pr):
+            if not entering:
+                continue
+            prems = tuple(q.sequent for q in node.premises)
+            instances = {(rule, tuple(ps)) for rule, ps in _rule_instances(node.sequent)}
+            for rule in GRule:
+                if rule is not node.rule:
+                    passes = check_g_proof(GProof(rule, node.sequent, node.premises))
+                    assert passes == ((rule, prems) in instances), (node.sequent, rule)
+                    relabelled += 1
+                    accepted += passes
+    # the 15 accepted swap g.or_r1 and g.or_r2 on a conclusion a | a
+    assert (relabelled, accepted) == (9408, 15)
+
+
+def test_dumps_is_indented_json_dumps(fingerprint_proofs):
+    for pr in fingerprint_proofs:
+        assert dumps(pr) == json.dumps(g_proof_to_json(pr), indent=2)
 
 
 def test_g_proof_fingerprint(small_pool):

@@ -2,7 +2,9 @@
 functions of its module: recursion caps proof height, formula depth and
 side width at the interpreter's recursion limit.  The call graph is read
 from the source with ``ast``; it links calls of plain names, resolved
-through the enclosing scopes, and calls of ``self.<method>``."""
+through the enclosing scopes, and calls of ``self.<method>``.  The same
+graph shows that no call path joins the G search's list of rule
+instances to its checkers' list."""
 
 import ast
 from pathlib import Path
@@ -117,6 +119,48 @@ def _unexplained(cycles: set[frozenset[str]], allowed) -> tuple[list, list]:
     """The cycles not allowed, and the allowed cycles that do not exist."""
     return (sorted(map(sorted, cycles - allowed.keys())),
             sorted(map(sorted, allowed.keys() - cycles)))
+
+
+def _reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    """The functions some call path leads to from start, start included."""
+    seen, todo = {start}, [start]
+    while todo:
+        for callee in graph.get(todo.pop(), ()):
+            if callee not in seen:
+                seen.add(callee)
+                todo.append(callee)
+    return seen
+
+
+# A certificate that G has no cut-free proof of a sequent is checked
+# against the checker's list of rule instances, so it is sound only while
+# the search enumerates its steps with code of its own.
+SEPARATE: list[tuple[tuple[str, ...], tuple[str, ...]]] = [
+    (("gcalc._bounded_search", "gcalc._backward_steps"),
+     ("gcalc._rule_instances", "gcalc._logical_instances")),
+    (("gcalc.verify_g_proof", "gcalc.verify_g_unprovable"), ("gcalc._backward_steps",)),
+]
+
+
+def _crossings(graph: dict[str, set[str]], separate) -> list[tuple[str, str]]:
+    """The pairs (caller, callee) of separate that a call path links."""
+    return sorted((a, b) for callers, callees in separate for a in callers
+                  for b in callees if b in _reachable(graph, a))
+
+
+def test_the_search_and_the_checkers_keep_their_own_rule_lists():
+    graph = _call_graph("gcalc", ast.parse((SRC / "gcalc.py").read_text()))
+    assert {f for pair in SEPARATE for side in pair for f in side} <= graph.keys()
+    assert _crossings(graph, SEPARATE) == []
+
+
+def test_the_guard_sees_a_crossing():
+    tree = ast.parse("def search():\n    return helper()\n"
+                     "def helper():\n    return rules()\n"
+                     "def rules():\n    return []\n"
+                     "def check():\n    return 0\n")
+    assert _crossings(_call_graph("m", tree), [(("m.search", "m.check"), ("m.rules",))]) == [
+        ("m.search", "m.rules")]
 
 
 def test_no_call_cycles():

@@ -153,12 +153,6 @@ class TestContrapose:
         assert cp.sequent == Sequent.of([Neg(p)], [Neg(p)])
         assert cp.rule is ScRule.AXIOM
 
-    def test_rederive_cutfree(self):
-        pr = prove(parse_sequent("=> p | ~#p"))
-        cp = contrapose(pr, rederive_cutfree=True)
-        assert is_cut_free(cp)
-        assert cp.sequent == Sequent.of([parse("~(p | ~#p)")], [])
-
     def test_rejects_cut(self):
         from tml.sc import cut
         with_cut = cut(axiom([p], [p]), axiom([p], [p]), p, [p], [p])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tml.matrix import (M4, LogicalMatrix, Operation, evaluate,
                         matrix_consequence, valuations)
+from tml.proofs import dumps
 from tml.sequents import Sequent, sequent_satisfied
 from tml.signed import (NSequent, SFCheckError, SFDerivation, SignedFormula,
                         check_sf_derivation, derivation_from_json,
@@ -337,6 +338,17 @@ def test_sf_derivation_fingerprint(small_pool):
     assert h.hexdigest() == SF_GOALS_FINGERPRINT, h.hexdigest()
     assert as_json.hexdigest() == SF_GOALS_JSON_FINGERPRINT, as_json.hexdigest()
     assert as_text.hexdigest() == SF_GOALS_TEXT_FINGERPRINT, as_text.hexdigest()
+
+
+def test_dumps_is_indented_json_dumps(small_pool):
+    # on the goals of the fingerprint above
+    rng = random.Random(7)
+    for _ in range(300):
+        fs = rng.sample(small_pool, rng.randrange(1, 4))
+        d = sf_prove(frozenset(SignedFormula(s, f) for f in fs
+                               for s in rng.sample(M4.values, rng.randrange(1, 4))))
+        if d is not None:
+            assert dumps(d) == json.dumps(derivation_to_json(d), indent=2)
 
 
 def test_sf_prove_rejects_bot_goals():

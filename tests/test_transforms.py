@@ -11,7 +11,7 @@ from conftest import checked_nd_to_sc
 from tml import sc
 from tml.nd import (NDDeduction, hyp, nd_to_json, nd_to_sc, render_nd, sc_to_nd,
                     verify_nd)
-from tml.proofs import walk
+from tml.proofs import dumps, walk
 from tml.sc import (ScRule, contrapose, necessitate, proof_to_json, prove, render_proof,
                     verify_sc_proof)
 from tml.sequents import Sequent
@@ -94,6 +94,15 @@ def test_nd_round_trip_fingerprint(corpus):
     chosen = corpus[::4] + rare[:6]
     got = _digest([nd_to_sc(sc_to_nd(p)) for p in chosen], proof_to_json, render_proof)
     assert got == ND_ROUND_TRIP_FINGERPRINT, got
+
+
+def test_dumps_is_indented_json_dumps(corpus):
+    # deductions and their round trips, from every fourth proof above
+    for p in corpus[::4]:
+        d = sc_to_nd(p)
+        assert dumps(d) == json.dumps(nd_to_json(d), indent=2)
+        r = nd_to_sc(d)
+        assert dumps(r) == json.dumps(proof_to_json(r), indent=2)
 
 
 def test_nd_round_trip_cuts_only_where_needed(corpus):
