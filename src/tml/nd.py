@@ -2,9 +2,13 @@
 translation between sequent proofs and deductions.
 
 Deductions are trees whose leaves are marked hypotheses; |E, ~&E and
-the starred box introduction close hypothesis classes by marker.  The
-forward translation turns a cut-free sequent proof of G => D into a
-deduction of the disjunction of D from G; the reverse translation
+the starred box introduction close hypothesis classes by marker.
+
+The forward translation turns a cut-free sequent proof of G => D into a
+deduction of the disjunction of D from G.  It passes contexts down the
+proof (see ``_ToNd``): one-premise rules only add to them, and only the
+axiom, the case splits and the two-premise right rules add steps, so
+the deduction is about twice the proof's size.  The reverse translation
 rebuilds a sequent proof from a deduction with the sequent rules and
 weakening, and with cut only at the steps listed in ``_ToSc``.
 """
@@ -14,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from operator import is_not
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import sc
@@ -27,7 +30,7 @@ __all__ = [
     "NDDeduction", "NdCheckError", "NdResult", "check_nd", "verify_nd",
     "open_assumptions", "disjunction_of", "sc_to_nd", "nd_to_sc",
     "NdTranslationError", "nd_to_json", "nd_from_json", "render_nd",
-    "hyp", "distribute_join_over_meet", "collapse_boxed_contradiction",
+    "hyp",
 ]
 
 ND_RULES = {
@@ -239,130 +242,21 @@ def _elems(fs: Iterable[Formula]) -> list[Formula]:
     return sorted(set(fs), key=lambda f: f.text)
 
 
-def _fold(elems: Sequence[Formula]) -> Formula:
-    if not elems:
-        return BOT
-    out = elems[-1]
+def _folds(delta: Iterable[Formula]) -> list[Formula]:
+    """For each k, the right-fold of the formulas from the k-th on, in
+    sorted rendering order; only bot when there are none."""
+    elems = _elems(delta)
+    folds = elems[-1:] or [BOT]
     for e in reversed(elems[:-1]):
-        out = Or(e, out)
-    return out
+        folds.append(Or(e, folds[-1]))
+    folds.reverse()
+    return folds
 
 
 def disjunction_of(delta: Iterable[Formula]) -> Formula:
     """Right-fold of the formulas in sorted rendering order; the empty
     disjunction is bot."""
-    return _fold(_elems(delta))
-
-
-# ---------------------------------------------------------------------------
-# Closed macro deductions.
-
-class _Markers:
-    def __init__(self, prefix: str = "u"):
-        self.prefix = prefix
-        self.n = 0
-
-    def fresh(self) -> str:
-        self.n += 1
-        return f"{self.prefix}{self.n}"
-
-
-def _clone_fresh(d: NDDeduction, mk: _Markers) -> NDDeduction:
-    mapping: dict[str, str] = {}
-
-    def rn(m: str) -> str:
-        if m not in mapping:
-            mapping[m] = mk.fresh()
-        return mapping[m]
-
-    return fold(d, lambda node, premises: NDDeduction(
-        node.rule, node.conclusion, tuple(premises),
-        marker=rn(node.marker) if node.marker is not None else None,
-        discharges=tuple((rn(m), f) for m, f in node.discharges)))
-
-
-def _graft(d: NDDeduction, assumption: Formula,
-           builder: Callable[[], NDDeduction]) -> NDDeduction:
-    """Replace open hypotheses of the given formula by fresh instances of
-    a deduction concluding it, in the order of a depth-first walk.
-
-    The stack carries down the markers discharged above each node,
-    which ``walk`` does not track.  Untouched subtrees are kept, not
-    copied."""
-    done: list[NDDeduction] = []
-    stack = [(d, frozenset(), True)]
-    while stack:
-        node, shadowed, entering = stack.pop()
-        if node.rule == "hyp":
-            hit = node.conclusion is assumption and node.marker not in shadowed
-            done.append(builder() if hit else node)
-        elif entering:
-            stack.append((node, shadowed, False))
-            if node.discharges:
-                shadowed = shadowed.union(m for m, _ in node.discharges)
-            stack.extend((q, shadowed, True) for q in reversed(node.premises))
-        else:
-            start = len(done) - len(node.premises)
-            premises = tuple(done[start:])
-            del done[start:]
-            if any(map(is_not, premises, node.premises)):
-                node = NDDeduction(node.rule, node.conclusion, premises,
-                                   discharges=node.discharges)
-            done.append(node)
-    return done[0]
-
-
-def distribute_join_over_meet(gamma: Formula, x: Formula, y: Formula,
-                              conj: NDDeduction, mk: _Markers) -> NDDeduction:
-    """From a deduction of (gamma|x) & (gamma|y) conclude gamma | (x&y)."""
-    target = Or(gamma, And(x, y))
-    left = NDDeduction("and_e1", Or(gamma, x), (conj,))
-    right = NDDeduction("and_e2", Or(gamma, y), (_clone_fresh(conj, mk),))
-    u1, u2, v1, v2 = (mk.fresh() for _ in range(4))
-    inner = NDDeduction(
-        "or_e", target,
-        (right,
-         NDDeduction("or_i1", target, (hyp(gamma, v1),)),
-         NDDeduction("or_i2", target,
-                     (NDDeduction("and_i", And(x, y), (hyp(x, u2), hyp(y, v2))),))),
-        discharges=((v1, gamma), (v2, y)))
-    return NDDeduction(
-        "or_e", target,
-        (left,
-         NDDeduction("or_i1", target, (hyp(gamma, u1),)),
-         inner),
-        discharges=((u1, gamma), (u2, x)))
-
-
-def _bot_from_boxed_pair(conj_of: Callable[[], NDDeduction], gamma: Formula) -> NDDeduction:
-    """From deductions of #g & ~#g (one per call of conj_of) build bot:
-    extract #g and ~#g, recover g, derive ~g, and hit the falsum
-    introduction shape ~g & #g."""
-    box_g = NDDeduction("and_e1", Box(gamma), (conj_of(),))
-    neg_box_g = NDDeduction("and_e2", Neg(Box(gamma)), (conj_of(),))
-    g = NDDeduction("box_e", gamma, (box_g,))
-    neg_g = NDDeduction("neg_box_e", Neg(gamma), (neg_box_g, g))
-    pair = NDDeduction("and_i", And(Neg(gamma), Box(gamma)),
-                       (neg_g, NDDeduction("and_e1", Box(gamma), (conj_of(),))))
-    return NDDeduction("bot_i", BOT, (pair,))
-
-
-def collapse_boxed_contradiction(gamma: Formula, alpha: Formula,
-                                 mk: Optional[_Markers] = None) -> NDDeduction:
-    """Closed deduction of a | bot from the assumption a | (#g & ~#g)."""
-    mk = mk or _Markers("w")
-    source = Or(alpha, And(Box(gamma), Neg(Box(gamma))))
-    target = Or(alpha, BOT)
-    u, v, w = mk.fresh(), mk.fresh(), mk.fresh()
-    conj = And(Box(gamma), Neg(Box(gamma)))
-    to_bot = _bot_from_boxed_pair(lambda: hyp(conj, v), gamma)
-    branch2 = NDDeduction("or_i2", target, (to_bot,))
-    return NDDeduction(
-        "or_e", target,
-        (hyp(source, w),
-         NDDeduction("or_i1", target, (hyp(alpha, u),)),
-         branch2),
-        discharges=((u, alpha), (v, conj)))
+    return _folds(delta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,261 +289,198 @@ def _added(rule: ScRule, pi: Formula) -> list[tuple[Formula, ...]]:
     return [dl if schema.side == "L" else dr for dl, dr in schema.deltas(schema.parts(pi))]
 
 
+# A handler step (rule, conclusion, premises before, premises after) puts
+# the deduction it is applied to between the premises.  A handler is
+# (steps, next, frame): its steps, then the handler of ``next`` unless
+# that is None; the last one reaches ``targets[frame]``.
+_Step = tuple[str, Formula, tuple[NDDeduction, ...], tuple[NDDeduction, ...]]
+_Handler = tuple[tuple[_Step, ...], object, int]
+# What a premise adds: deductions of left formulas, handlers of right
+# formulas as (formula, steps, next), and a new target or None.
+_Context = tuple[tuple[tuple[Formula, NDDeduction], ...],
+                 tuple[tuple[Formula, tuple[_Step, ...], object], ...],
+                 Optional[Formula]]
+_NOTHING: _Context = ((), (), None)
+
+
 class _ToNd:
-    def __init__(self):
-        self.mk = _Markers()
+    """Forward translation: one walk down a cut-free proof of G => D that
+    passes three contexts to each premise, and builds each node's
+    deduction from its premises' on the way back up.
 
-    # -- generic disjunction surgery ------------------------------------
+    - ``env``: a deduction of each left formula, a hypothesis of G or of
+      a case, or an elimination over the deduction of a principal;
+    - ``handlers``: for each right formula, the steps that turn a
+      deduction of it into one of the target;
+    - ``targets``: the target last, the disjunction of D at the root;
+      the first premise of &R, ~|R, #R and ~#L, which adds x, has the
+      target ``T | x`` over its node's target T.
 
-    def embed(self, ded: NDDeduction, elem: Formula,
-              target_elems: Sequence[Formula]) -> NDDeduction:
-        """Wrap a deduction of one element into the right-fold of the
-        target elements via or-introductions."""
-        if elem is BOT and elem not in target_elems:
-            return self.bot_to(ded, _fold(target_elems))
-        if elem not in target_elems:
-            raise NdTranslationError(f"{elem} is not a disjunct of the target")
-        elems = list(target_elems)
-        k = elems.index(elem)
-        out = _fold(elems[k:])
-        if k < len(elems) - 1:
-            ded = NDDeduction("or_i1", out, (ded,))
-        for e in reversed(elems[:k]):
-            out = Or(e, out)
-            ded = NDDeduction("or_i2", out, (ded,))
+    A premise adds an entry only for a formula that has none, and the
+    walk removes what the premise added when it leaves it.  The root's
+    handlers embed each formula of D into its disjunction through the
+    keys 0, 1, ...: the handler of key k turns the right-fold of the
+    formulas from the k-th on into the one from the (k-1)-th on."""
+
+    def __init__(self, seq: Sequent):
+        self.n = 0
+        self.env = {g: hyp(g, self.fresh()) for g in _elems(seq.left)}
+        elems = _elems(seq.right)
+        folds = _folds(elems)
+        self.targets = folds[:1]
+        self.handlers: dict[object, _Handler] = {}
+        for k, e in enumerate(elems):
+            into = (("or_i1", folds[k], (), ()),) if k + 1 < len(elems) else ()
+            self.handlers[e] = (into, k, 0)
+            self.handlers[k] = (((("or_i2", folds[k - 1], (), ()),), k - 1, 0) if k
+                                else ((), None, 0))
+
+    def fresh(self) -> str:
+        self.n += 1
+        return f"u{self.n}"
+
+    def close(self, f: Formula, ded: NDDeduction) -> NDDeduction:
+        """From a deduction of the right formula f, one of the target."""
+        key: object = f
+        while key is not None:
+            steps, key, frame = self.handlers[key]
+            for rule, c, before, after in steps:
+                ded = NDDeduction(rule, c, (*before, ded, *after))
+        for t in self.targets[frame + 1:]:
+            ded = NDDeduction("or_i1", t, (ded,))
         return ded
 
-    def bot_to(self, ded: NDDeduction, target: Formula) -> NDDeduction:
-        return ded if target is BOT else NDDeduction("bot_e", target, (ded,))
+    def enter(self, ctx: _Context) -> tuple[list, list, bool]:
+        """Add a premise's context; return what was added."""
+        envs, handlers, target = ctx
+        if target is not None:
+            self.targets.append(target)
+        frame = len(self.targets) - 1
+        new_env, new_handlers = [], []
+        for f, d in envs:
+            if f not in self.env:
+                self.env[f] = d
+                new_env.append(f)
+        for f, steps, nxt in handlers:
+            if f not in self.handlers:
+                self.handlers[f] = (steps, nxt, frame)
+                new_handlers.append(f)
+        return new_env, new_handlers, target is not None
 
-    def or_elim_shape(self, ded: NDDeduction, shape: Sequence[Formula],
-                      target: Formula,
-                      branch: Callable[[NDDeduction, Formula], NDDeduction],
-                      ) -> NDDeduction:
-        """Case-split a deduction of the right-fold of `shape`; every
-        branch function must conclude `target`."""
-        rests: list[Formula] = []   # the right-folds of shape[1:], shape[2:], ...
-        for f in reversed(shape[1:]):
-            rests.append(Or(f, rests[-1]) if rests else f)
-        rests.reverse()
-        opened = []
-        for head, rest in zip(shape, rests):
-            u, v = self.mk.fresh(), self.mk.fresh()
-            opened.append((ded, u, head, v, rest, branch(hyp(head, u), head)))
-            ded = hyp(rest, v)
-        out = branch(ded, shape[-1])
-        for ded, u, head, v, rest, b1 in reversed(opened):
-            out = NDDeduction("or_e", target, (ded, b1, out),
-                              discharges=((u, head), (v, rest)))
-        return out
+    def leave(self, added: tuple[list, list, bool]) -> None:
+        new_env, new_handlers, pushed = added
+        for f in new_env:
+            del self.env[f]
+        for f in new_handlers:
+            del self.handlers[f]
+        if pushed:
+            self.targets.pop()
 
-    def remap(self, ded: NDDeduction, source: Iterable[Formula],
-              target_set: Iterable[Formula],
-              override: Optional[dict[Formula, Callable[[NDDeduction], NDDeduction]]] = None,
-              ) -> NDDeduction:
-        """Turn a deduction of the disjunction of `source` into one of the
-        disjunction of `target_set`.  Elements default to or-intro
-        embedding; `override` supplies custom element handlers."""
-        override = override or {}
-        src = _elems(source)
-        tgt = _elems(target_set)
-        target = _fold(tgt)
-        if not src:
-            return self.bot_to(ded, target)
-        if src == tgt and not override:
-            return ded
-
-        def branch(sub: NDDeduction, e: Formula) -> NDDeduction:
-            if e in override:
-                return override[e](sub)
-            return self.embed(sub, e, tgt)
-
-        return self.or_elim_shape(ded, src, target, branch)
-
-    # -- the rule cases ---------------------------------------------------
-
-    def step(self, node: ScProof, ds: list[NDDeduction]) -> NDDeduction:
-        """The deduction of a node from the deductions of its premises."""
-        seq = node.sequent
-        delta = _elems(seq.right)
-        target = _fold(delta)
+    def split(self, node: ScProof) -> tuple[list[_Context], tuple]:
+        """The context each premise adds, and the discharges of the node's
+        deduction, with markers given in the order of the walk."""
         rule = node.rule
-        srcs = [q.sequent.right for q in node.premises]
+        if rule is ScRule.AXIOM:
+            return [], ()
+        if rule in (ScRule.WEAK_L, ScRule.WEAK_R):
+            return [_NOTHING], ()
+        (pi,) = node.principal
+        target = self.targets[-1]
+        if rule is ScRule.BOX_L2:   # ~a closes with the falsum ~a & #a
+            na = Neg(pi.child)
+            steps = (("and_i", And(na, pi), (), (self.env[pi],)), ("bot_i", BOT, (), ()))
+            if target is not BOT:
+                steps += (("bot_e", target, (), ()),)
+            return [((), ((na, steps, None),), None)], ()
+        if rule is ScRule.NEG_BOX_R1:   # a case split on the axiom a | ~#a
+            a = pi.child.child
+            u, v = self.fresh(), self.fresh()
+            return [(((a, hyp(a, u)),), (), None)], ((u, a), (v, pi))
+        if rule in (ScRule.BOX_R, ScRule.NEG_BOX_L):
+            x1 = pi.child if rule is ScRule.BOX_R else pi.child.child
+            x2 = Neg(x1)
+        else:
+            added = _added(rule, pi)
+            if len(added) == 1:
+                if rule in _ND_ELIM:
+                    d = self.env[pi]
+                    return [(tuple((x, NDDeduction(r, x, (d,)))
+                                   for x, r in zip(added[0], _ND_ELIM[rule])), (), None)], ()
+                return [((), tuple((x, ((r, pi, (), ()),), pi)
+                                   for x, r in zip(added[0], _ND_INTRO[rule])), None)], ()
+            (x1,), (x2,) = added
+        u, v = self.fresh(), self.fresh()
+        if rule in _ND_ELIM:   # |L, ~&L: a case split on pi
+            return ([(((x1, hyp(x1, u)),), (), None), (((x2, hyp(x2, v)),), (), None)],
+                    ((u, x1), (v, x2)))
+        # the first premise proves target | x1, split by |E
+        wider = Or(target, x1)
+        first = ((), ((x1, (("or_i2", wider, (), ()),), None),), wider)
+        if rule is ScRule.BOX_R:   # then #I* concludes target | #a
+            w = self.fresh()
+            return [first, (((x2, hyp(x2, v)),), (), None)], ((v, x2), (u, target), (w, pi))
+        if rule is ScRule.NEG_BOX_L:   # in the a case, ~#E gives ~a
+            neg_a = NDDeduction("neg_box_e", x2, (self.env[pi], hyp(x1, v)))
+            second: _Context = (((x2, neg_a),), (), None)
+        else:   # in the x1 case, x2 closes with the introduction of pi
+            intro = ((_ND_INTRO[rule][0], pi, (hyp(x1, v),), ()),)
+            second = ((), ((x2, intro, pi),), None)
+        return [first, second], ((u, target), (v, x1))
 
+    def join(self, node: ScProof, discharges: tuple, ds: list[NDDeduction]) -> NDDeduction:
+        """The node's deduction of the target, from its premises'."""
+        rule = node.rule
         if rule is ScRule.AXIOM:
             (alpha,) = node.principal
-            return self.embed(hyp(alpha, self.mk.fresh()), alpha, delta)
-        if rule is ScRule.CUT:
-            raise NdTranslationError("translation requires a cut-free proof")
-        if rule is ScRule.WEAK_L:
-            (beta,) = node.principal
-            glued = NDDeduction("and_i", And(target, beta), (ds[0], hyp(beta, self.mk.fresh())))
-            return NDDeduction("and_e1", target, (glued,))
-        if rule is ScRule.WEAK_R:
-            return self.remap(ds[0], srcs[0], seq.right)
-
+            return self.close(alpha, self.env[alpha])
+        if not discharges:
+            return ds[0]
         (pi,) = node.principal
-        if rule in _ND_INTRO:
-            intros = _ND_INTRO[rule]
-            if len(ds) == 1:   # introduce pi from whichever part is derived
-                override = {x: partial(self._intro, r, pi, delta)
-                            for x, r in zip(_added(rule, pi)[0], intros)}
-                return self.remap(ds[0], srcs[0], seq.right, override)
-            (x1,), (x2,) = _added(rule, pi)
-
-            def with_first(s1: NDDeduction) -> NDDeduction:
-                second = {x2: lambda s2: self._intro(intros[0], pi, delta, s1, s2)}
-                return self.remap(_clone_fresh(ds[1], self.mk), srcs[1], seq.right, second)
-
-            return self.remap(ds[0], srcs[0], seq.right, {x1: with_first})
-        if rule in _ND_ELIM:
-            elims = _ND_ELIM[rule]
-            if len(ds) == 1:   # eliminate pi at every open hypothesis of a part
-                d = ds[0]
-                for x, r in zip(_added(rule, pi)[0], elims):
-                    d = _graft(d, x, lambda x=x, r=r: NDDeduction(
-                        r, x, (hyp(pi, self.mk.fresh()),)))
-                return d
-            (x1,), (x2,) = _added(rule, pi)
-            u, v = self.mk.fresh(), self.mk.fresh()
-            return NDDeduction(
-                elims[0], target,
-                (hyp(pi, self.mk.fresh()),
-                 _graft(ds[0], x1, lambda: hyp(x1, u)),
-                 _graft(ds[1], x2, lambda: hyp(x2, v))),
-                discharges=((u, x1), (v, x2)))
-
-        if rule is ScRule.BOX_L2:
-            a = pi.child
-
-            def kill(s_na: NDDeduction) -> NDDeduction:
-                pair = NDDeduction("and_i", And(Neg(a), pi),
-                                   (s_na, hyp(pi, self.mk.fresh())))
-                return self.bot_to(NDDeduction("bot_i", BOT, (pair,)), target)
-
-            return self.remap(ds[0], srcs[0], seq.right, {Neg(a): kill})
+        target = self.targets[-1]
         if rule is ScRule.NEG_BOX_R1:
-            a = pi.child.child
-            u, v = self.mk.fresh(), self.mk.fresh()
-            ma = NDDeduction("ma", Or(a, pi))
-            body = self.remap(_graft(ds[0], a, lambda: hyp(a, u)), srcs[0], seq.right)
-            side = self.embed(hyp(pi, v), pi, delta)
-            return NDDeduction("or_e", target, (ma, body, side),
-                               discharges=((u, a), (v, pi)))
+            (_, a), (v, _) = discharges
+            cases = (NDDeduction("ma", Or(a, pi)), ds[0], self.close(pi, hyp(pi, v)))
+            return NDDeduction("or_e", target, cases, discharges=discharges)
+        if rule in _ND_ELIM:
+            return NDDeduction(_ND_ELIM[rule][0], target, (self.env[pi], *ds),
+                               discharges=discharges)
         if rule is ScRule.BOX_R:
-            return self._box_right(pi, delta, target, ds, srcs)
-        return self._neg_box_left(pi, delta, target, ds, srcs)
-
-    def _intro(self, rule: str, pi: Formula, delta: list[Formula],
-               *premises: NDDeduction) -> NDDeduction:
-        return self.embed(NDDeduction(rule, pi, premises), pi, delta)
-
-    def _box_right(self, pi: Formula, delta: list[Formula], target: Formula,
-                   ds: list[NDDeduction], srcs: list[frozenset[Formula]]) -> NDDeduction:
-        a = pi.child
-        d1, d2 = ds
-        src1, src2 = srcs
-        rest = [f for f in delta if f is not pi]
-        u = self.mk.fresh()
-        if rest:
-            psi = _fold(rest)
-            shape = Or(psi, a)
-
-            def route1(s: NDDeduction, e: Formula) -> NDDeduction:
-                if e is a:
-                    return NDDeduction("or_i2", shape, (s,))
-                if e is pi:  # the premise may retain the boxed conclusion
-                    got_a = NDDeduction("box_e", a, (s,))
-                    return NDDeduction("or_i2", shape, (got_a,))
-                return NDDeduction("or_i1", shape, (self.embed(s, e, rest),))
-
-            d0 = self.or_elim_shape(d1, _elems(src1), shape, route1)
-
-            def kill_box(s: NDDeduction) -> NDDeduction:
-                pair = NDDeduction("and_i", And(Neg(a), s.conclusion),
-                                   (hyp(Neg(a), u), s))
-                return self.bot_to(NDDeduction("bot_i", BOT, (pair,)), psi)
-
-            body = self.remap(d2, src2, rest, {pi: kill_box} if pi in src2 else None)
-            body = _graft(body, Neg(a), lambda: hyp(Neg(a), u))
-            starred = NDDeduction("box_i_star", Or(psi, pi), (d0, body),
-                                  discharges=((u, Neg(a)),))
-
-            def final(s: NDDeduction, e: Formula) -> NDDeduction:
-                if e is pi:
-                    return self.embed(s, pi, delta)
-                return self.remap(s, rest, delta)
-
-            return self.or_elim_shape(starred, [psi, pi], target, final)
-
-        # no other conclusions: derive #a with psi := #a
-        shape = Or(pi, a)
-
-        def route1(s: NDDeduction, e: Formula) -> NDDeduction:
-            if e is a:
-                return NDDeduction("or_i2", shape, (s,))
-            return NDDeduction("or_i1", shape, (s,))
-
-        d0 = self.or_elim_shape(d1, _elems(src1), shape, route1)
-        if _elems(src2) and _elems(src2) != [pi]:
-            raise NdTranslationError("unexpected premise shape for box introduction")
-        if not _elems(src2):
-            body = self.bot_to(d2, pi)
+            starred = NDDeduction("box_i_star", Or(target, pi), tuple(ds),
+                                  discharges=discharges[:1])
+            discharges = discharges[1:]
+            (u, _), (w, _) = discharges
+            cases = (starred, hyp(target, u), self.close(pi, hyp(pi, w)))
         else:
-            body = d2
-        body = _graft(body, Neg(a), lambda: hyp(Neg(a), u))
-        starred = NDDeduction("box_i_star", Or(pi, pi), (d0, body),
-                              discharges=((u, Neg(a)),))
-        v1, v2 = self.mk.fresh(), self.mk.fresh()
-        return NDDeduction("or_e", pi,
-                           (starred, hyp(pi, v1), hyp(pi, v2)),
-                           discharges=((v1, pi), (v2, pi)))
+            (u, _), _ = discharges
+            cases = (ds[0], hyp(target, u), ds[1])
+        return NDDeduction("or_e", target, cases, discharges=discharges)
 
-    def _neg_box_left(self, pi: Formula, delta: list[Formula], target: Formula,
-                      ds: list[NDDeduction], srcs: list[frozenset[Formula]]) -> NDDeduction:
-        a = pi.child.child
-        d1, d2 = ds
-        src1, src2 = srcs
-
-        if not delta:
-            got_a = d1 if d1.conclusion is a else self.remap(d1, src1, [a])
-            neg_a = NDDeduction("neg_box_e", Neg(a),
-                                (hyp(pi, self.mk.fresh()), got_a))
-            return _graft(d2, Neg(a), lambda: _clone_fresh(neg_a, self.mk))
-
-        psi = target
-        u = self.mk.fresh()
-        shape = Or(psi, a)
-
-        def route1(s: NDDeduction, e: Formula) -> NDDeduction:
-            if e is a:
-                return NDDeduction("or_i2", shape, (s,))
-            return NDDeduction("or_i1", shape, (self.embed(s, e, delta),))
-
-        d0 = self.or_elim_shape(d1, _elems(src1), shape, route1)
-        body = _graft(self.remap(d2, src2, delta), Neg(a), lambda: hyp(Neg(a), u))
-        starred = NDDeduction("box_i_star", Or(psi, Box(a)), (d0, body),
-                              discharges=((u, Neg(a)),))
-        with_neg = NDDeduction("or_i2", Or(psi, pi), (hyp(pi, self.mk.fresh()),))
-        conj = NDDeduction("and_i", And(Or(psi, Box(a)), Or(psi, pi)),
-                           (starred, with_neg))
-        distributed = distribute_join_over_meet(psi, Box(a), pi, conj, self.mk)
-
-        inner_conj = And(Box(a), pi)
-        w1, w2 = self.mk.fresh(), self.mk.fresh()
-        crushed = self.bot_to(
-            _bot_from_boxed_pair(lambda: hyp(inner_conj, w2), a), psi)
-        return NDDeduction(
-            "or_e", psi,
-            (distributed, hyp(psi, w1), crushed),
-            discharges=((w1, psi), (w2, inner_conj)))
+    def translate(self, root: ScProof) -> NDDeduction:
+        done: list[NDDeduction] = []
+        todo: list[tuple] = [("enter", root, _NOTHING)]
+        while todo:
+            kind, node, data = todo.pop()
+            if kind == "leave":
+                self.leave(data)
+            elif kind == "join":
+                start = len(done) - len(node.premises)
+                ded = self.join(node, data, done[start:])
+                del done[start:]
+                done.append(ded)
+            else:
+                todo.append(("leave", node, self.enter(data)))
+                contexts, discharges = self.split(node)
+                todo.append(("join", node, discharges))
+                todo.extend(("enter", q, ctx)
+                            for q, ctx in reversed(list(zip(node.premises, contexts))))
+        return done[0]
 
 
 def sc_to_nd(p: ScProof) -> NDDeduction:
     """Translate a cut-free sequent proof of G => D into a deduction of
     the canonical disjunction of D whose open assumptions lie in G."""
     sc.verify_sc_proof(p, allow_cut=False)
-    return fold(p, _ToNd().step)
+    return _ToNd(p.sequent).translate(p)
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,8 @@ def _digest(items, to_json, render) -> str:
 # transformed proofs of the corpora above.
 CONTRAPOSE_FINGERPRINT = "24b04228b6e9901a6b6a0f1249fa091a48bcfda1464992e446d6188ae81379d8"
 NECESSITATE_FINGERPRINT = "c8b4cade54c2b3c0edfd9a51615b1dc3c3c2d8303926863dd8ac0dde95d8f153"
-ND_ROUND_TRIP_FINGERPRINT = "96c090e8f240e889b027d600e64520d97b0195be7b960f912174ec6724157c6a"
-SC_TO_ND_WEAKENED_FINGERPRINT = "074df8222846fa60f648f3def3c9e922e8ebbbd65ba6a5d371e72e37e73f8c24"
+ND_ROUND_TRIP_FINGERPRINT = "5bbca847d3013d66b62699a54e87edf6df7dd6d74a075697faf4838077a987b7"
+SC_TO_ND_WEAKENED_FINGERPRINT = "c708d72d452fe02d82a5f49f9b2c065c23a561b079b856f3d950e308f7bd385d"
 
 
 # the sequent rules whose deductions use ~|I, ~#E or ~#I
@@ -106,15 +106,20 @@ def test_dumps_is_indented_json_dumps(corpus):
 
 
 def test_nd_round_trip_cuts_only_where_needed(corpus):
-    # 92,464 nodes and 14,989 cuts when every deduction step was a cut
-    # against a lemma; 43,512 and 1,321 with sequent rules where the
-    # deduction allows them
-    nodes = cuts = 0
+    # 1,895 proof nodes become 3,437 deduction nodes, and 7,029 nodes
+    # and 409 cuts in the round trip; 22,902, 43,512 and 1,321 when every
+    # rule re-folded the right side's disjunction, and 92,464 nodes and
+    # 14,989 cuts when every deduction step was also a cut
+    proof_nodes = deduction_nodes = nodes = cuts = 0
     for p in corpus:
-        _, n, c = checked_nd_to_sc(sc_to_nd(p))
+        d = sc_to_nd(p)
+        proof_nodes += sc.proof_size(p)
+        deduction_nodes += sum(entering for _, _, entering in walk(d))
+        _, n, c = checked_nd_to_sc(d)
         nodes += n
         cuts += c
-    assert nodes <= 44_000 and cuts <= 1_400, (nodes, cuts)
+    assert deduction_nodes <= 3 * proof_nodes, (deduction_nodes, proof_nodes)
+    assert nodes <= 9_000 and cuts <= 600, (nodes, cuts)
 
 
 def test_sc_to_nd_weakened_fingerprint(pool_by_count):
@@ -153,6 +158,33 @@ def test_sc_to_nd_of_a_tall_proof(chain_proof):
     d = sc_to_nd(chain_proof)
     assert d.conclusion is Var("p")
     assert verify_nd(d) <= chain_proof.sequent.left
+
+
+def test_sc_to_nd_of_a_tall_right_side():
+    """p => ~~(~~(...p)) with 1500 ~~: a chain of 1500 handlers, each
+    applying ~~I and then the handler of the formula it came from."""
+    p = Var("p")
+    f = p
+    for _ in range(1500):
+        f = Neg(Neg(f))
+    d = sc_to_nd(prove(Sequent.of([p], [f])))
+    assert d.conclusion is f and verify_nd(d) == {p}
+    checked_nd_to_sc(d)
+
+
+def test_sc_to_nd_of_nested_conjunctions():
+    """p => p & (p & (... & p)) with 100 conjuncts: each &R splits one
+    disjunction of the target and the conjunct, so the deduction grows
+    with the proof, not with its square."""
+    p = Var("p")
+    f = p
+    for _ in range(99):
+        f = And(p, f)
+    proof = prove(Sequent.of([p], [f]))
+    d = sc_to_nd(proof)
+    assert d.conclusion is f and verify_nd(d) == {p}
+    assert sum(entering for _, _, entering in walk(d)) <= 6 * sc.proof_size(proof)
+    checked_nd_to_sc(d)
 
 
 def test_sc_to_nd_of_a_wide_sequent():
