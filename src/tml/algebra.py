@@ -10,12 +10,12 @@ pointwise evaluator the tests compare the kernel with.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from operator import or_, xor
 from typing import Hashable, Mapping, Optional
 
 from .matrix import M4, LogicalMatrix, _first_valuation, _value_planes
+from .record import Record
 from .syntax import And, Bot, Box, Formula, Neg, Or, Var, parse, variables
 
 __all__ = [
@@ -26,8 +26,7 @@ __all__ = [
 Element = Hashable
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     """Finite algebra with meet, join, negation, box and bottom."""
 
     carrier: tuple[Element, ...]
@@ -122,8 +121,7 @@ def algebra_evaluate(f: Formula, assignment: Mapping[str, Element], alg: Algebra
             return val
 
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(Record):
     name: str
     holds: bool
     witness: Optional[tuple[Element, ...]] = None
@@ -134,8 +132,7 @@ class LawCheck:
         return f"{self.name}: FAILS at {self.witness}"
 
 
-@dataclass(frozen=True)
-class TmaLawReport:
+class TmaLawReport(Record):
     checks: tuple[LawCheck, ...]
 
     @property

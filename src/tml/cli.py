@@ -3,20 +3,17 @@
 Exit codes: 0 for affirmative results (valid, provable, proof checks),
 1 for negative results, 2 for usage or parse errors and for any
 internal failure.
+
+Each command imports the modules it uses when it runs, so that, say,
+``tml parse`` loads no proof calculus.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from . import gcalc, nd, proofs, sc, signed, translation
-from .matrix import (M4, countermodel, degree_consequence, evaluate,
-                     load_matrix, matrix_consequence, parse_valuation,
-                     render_valuation)
-from .sequents import parse_sequent
 from .syntax import SyntaxError_, parse, render
 
 EXIT_YES = 0
@@ -87,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path: str) -> dict:
+    import json
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -94,6 +92,7 @@ def _load_json(path: str) -> dict:
 def _cmd_parse(args) -> int:
     f = parse(args.formula)
     if args.format == "json":
+        import json
         print(json.dumps({"ascii": render(f), "unicode": render(f, "unicode")}))
     else:
         print(render(f))
@@ -101,6 +100,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .matrix import M4, evaluate, parse_valuation
     f = parse(args.formula)
     v = parse_valuation(args.valuation)
     print(evaluate(f, v, M4))
@@ -108,6 +108,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_valid(args) -> int:
+    from .matrix import M4, matrix_consequence
     f = parse(args.formula)
     ok = matrix_consequence([], [f], M4)
     print("valid" if ok else "not valid")
@@ -115,6 +116,8 @@ def _cmd_valid(args) -> int:
 
 
 def _cmd_consequence(args) -> int:
+    from .matrix import M4, degree_consequence, matrix_consequence
+    from .sequents import parse_sequent
     seq = parse_sequent(args.sequent)
     if args.relation == "degree":
         if len(seq.right) != 1:
@@ -128,6 +131,8 @@ def _cmd_consequence(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
+    from .matrix import M4, countermodel, render_valuation
+    from .sequents import parse_sequent
     if len(args.sequent) == 1:
         seq = parse_sequent(args.sequent[0])
     elif len(args.sequent) == 2:
@@ -143,22 +148,50 @@ def _cmd_countermodel(args) -> int:
     return EXIT_NO
 
 
+# characters per write of a proof's JSON
+_BATCH = 1 << 16
+
+
+def _print_chunks(pieces: Iterable[str]) -> None:
+    """Write the pieces and a line break to stdout, joined in batches of
+    about ``_BATCH`` characters: a proof's JSON can run to hundreds of
+    megabytes, and ``print`` would hold it, and its encoded bytes, whole."""
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            sys.stdout.write("".join(batch))
+            batch.clear()
+            size = 0
+    batch.append("\n")
+    sys.stdout.write("".join(batch))
+
+
 def _print_proof(proof, fmt: str) -> int:
-    print(proofs.dumps(proof) if fmt == "json" else proofs.render(proof))
+    from . import proofs
+    if fmt == "json":
+        _print_chunks(proofs.dump_chunks(proof))
+    else:
+        print(proofs.render(proof))
     return EXIT_YES
 
 
 def _cmd_prove(args) -> int:
+    from .sequents import parse_sequent
     seq = parse_sequent(args.sequent)
     if args.stats and args.calculus != "g":
         raise _CliError("--stats is available for the G search only")
     if args.calculus == "sc":
+        from . import sc
         proof = sc.prove(seq)
         if proof is None:
             print("not provable")
             return EXIT_NO
         return _print_proof(proof, args.format)
     if args.calculus == "g":
+        from . import gcalc
         if len(seq.right) != 1:
             raise _CliError("the G calculus is single-conclusion")
         (phi,) = seq.right
@@ -171,6 +204,8 @@ def _cmd_prove(args) -> int:
             return EXIT_NO
         return _print_proof(proof, args.format)
     # sf4: embed the two-sided sequent as a 4-sequent goal
+    from . import signed
+    from .matrix import M4
     goal = signed.embed_two_sided(seq.left, seq.right, M4).signed_set(M4)
     derivation = signed.sf_prove(goal, M4)
     if derivation is None:
@@ -180,20 +215,26 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .proofs import CheckError
     doc = _load_json(args.file)
     try:
         if args.calculus == "sc":
+            from . import sc
             sc.verify_sc_proof(sc.proof_from_json(doc), allow_cut=args.allow_cut)
         elif args.calculus == "g":
+            from . import gcalc
             gcalc.verify_g_proof(gcalc.g_proof_from_json(doc), allow_cut=args.allow_cut)
         elif args.calculus == "sf4":
+            from . import signed
+            from .matrix import M4
             signed.verify_sf_derivation(signed.derivation_from_json(doc), M4)
         else:
+            from . import nd
             ded = nd.nd_from_json(doc)
             opens = ", ".join(sorted(f.text for f in nd.verify_nd(ded))) or "(none)"
             print(f"valid: concludes {ded.conclusion.text}; open assumptions: {opens}")
             return EXIT_YES
-    except proofs.CheckError as e:
+    except CheckError as e:
         print(f"invalid: {e}")
         return EXIT_NO
     print("valid")
@@ -201,6 +242,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    from . import nd, sc
+    from .proofs import dump_chunks
     doc = _load_json(args.file)
     if args.mode == "contrapose":
         out = sc.contrapose(sc.proof_from_json(doc))
@@ -210,11 +253,15 @@ def _cmd_translate(args) -> int:
         out = nd.sc_to_nd(sc.proof_from_json(doc))
     else:
         out = nd.nd_to_sc(nd.nd_from_json(doc))
-    print(proofs.dumps(out))
+    _print_chunks(dump_chunks(out))
     return EXIT_YES
 
 
 def _cmd_gen_rules(args) -> int:
+    import json
+
+    from . import signed, translation
+    from .matrix import M4, load_matrix
     m = load_matrix(args.matrix) if args.matrix else M4
     rules = signed.generate_sf_rules(m)
     if args.stage == "sf":
@@ -246,8 +293,11 @@ def _cmd_gen_rules(args) -> int:
 
 
 def _cmd_probe_cut(args) -> int:
+    import json
+
+    from .gcalc import cut_necessity_probe
     alpha = parse(args.alpha)
-    report = gcalc.cut_necessity_probe(alpha, args.depth)
+    report = cut_necessity_probe(alpha, args.depth)
     if args.stats:
         print(f"stats: {report.stats}", file=sys.stderr)
     if args.format == "json":

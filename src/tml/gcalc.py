@@ -22,7 +22,6 @@ it certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -31,6 +30,7 @@ from .matrix import (M4, MissingVariableError, _first_valuation, _refuting,
                      _sequent_vars, _value_planes, matrix_consequence,
                      render_valuation)
 from .proofs import CheckError, from_json, passes, render, shared, to_json, walk
+from .record import Record
 from .sc import is_cut_free, prove
 from .sequents import Sequent, sequent_satisfied, side_texts
 from .syntax import And, BOT, Box, Formula, Neg, Or, formula_key, parse
@@ -61,10 +61,22 @@ class GRule(str, Enum):
     BOX_R = "g.box_r"
 
 
-@dataclass(frozen=True)
-class GSequent:
+class GSequent(Record):
+    __slots__ = ("left", "right")
     left: frozenset[Formula]
     right: Formula
+
+    def __init__(self, left: frozenset[Formula], right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     @staticmethod
     def of(left: Iterable[Formula], right: Formula) -> "GSequent":
@@ -75,11 +87,25 @@ class GSequent:
         return f"{lhs} => {self.right.text}".strip()
 
 
-@dataclass(frozen=True)
-class GProof:
+class GProof(Record):
+    __slots__ = ("rule", "sequent", "premises")
     rule: GRule
     sequent: GSequent
-    premises: tuple["GProof", ...] = ()
+    premises: tuple[GProof, ...]
+
+    def __init__(self, rule: GRule, sequent: GSequent, premises: tuple[GProof, ...] = ()) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "sequent", sequent)
+        object.__setattr__(self, "premises", premises)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.rule, self.sequent, self.premises)
+                    == (other.rule, other.sequent, other.premises))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.sequent, self.premises))
 
     def json_fields(self, sides: dict) -> dict:
         return {"rule": self.rule.value,
@@ -226,8 +252,8 @@ def _backward_steps(seq: GSequent) -> Iterator[tuple[GRule, list[GSequent]]]:
 
 class GSearchStats:
     """What bounded G searches did, summed over the searches given it.
-    A plain class: a dataclass would add a millisecond to every start of
-    the command line."""
+    Mutable, and equal only to itself, unlike the package's frozen
+    ``Record`` classes."""
 
     __slots__ = ("expanded", "memo_hits", "pruned", "validity_memo_hits", "bound_hit")
 
@@ -436,8 +462,7 @@ def _search_certified(goal: GSequent, depth: int,
     return None, cert, stats
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Record):
     """Outcome of the cut-necessity probe.
 
     ``bound_hit`` says whether the G search cut some branch off at the

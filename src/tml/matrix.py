@@ -10,12 +10,13 @@ designated {b, 1}, lattice join/meet for | and &, the involution
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
+from .record import Record
 from .syntax import And, Bot, Box, Formula, Neg, Or, Var, variables
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 __all__ = [
     "TruthValue", "Valuation", "Operation", "LogicalMatrix", "M4",
@@ -48,8 +49,7 @@ class UnknownConnectiveError(KeyError):
         return f"matrix has no table for connective {self.name!r}"
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(Record):
     arity: int
     table: Mapping[tuple[TruthValue, ...], TruthValue]
 
@@ -57,34 +57,37 @@ class Operation:
         return self.table[args]
 
 
-@dataclass(frozen=True)
-class LogicalMatrix:
+class LogicalMatrix(Record):
     """Finite matrix: value names, designated subset, operation tables.
 
     ``order`` is the full partial order as a set of (a, b) pairs with
     a <= b; it is optional and only required by the degree-preserving
-    consequence relation.
+    consequence relation.  ``connective_order`` defaults to the sorted
+    names of ``ops``.
     """
 
     values: tuple[TruthValue, ...]
     designated: frozenset[TruthValue]
     ops: Mapping[str, Operation]
-    order: Optional[frozenset[tuple[TruthValue, TruthValue]]] = None
-    connective_order: tuple[str, ...] = field(default=())
+    order: Optional[frozenset[tuple[TruthValue, TruthValue]]]
+    connective_order: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        vals = set(self.values)
-        if not self.designated or not self.designated < vals:
+    def __init__(self, values: tuple[TruthValue, ...], designated: frozenset[TruthValue],
+                 ops: Mapping[str, Operation],
+                 order: Optional[frozenset[tuple[TruthValue, TruthValue]]] = None,
+                 connective_order: tuple[str, ...] = ()) -> None:
+        vals = set(values)
+        if not designated or not designated < vals:
             raise ValueError("designated must be a non-empty proper subset of values")
-        for name, op in self.ops.items():
-            expect = len(self.values) ** op.arity
+        for name, op in ops.items():
+            expect = len(values) ** op.arity
             if len(op.table) != expect:
                 raise ValueError(f"table for {name!r} is not total")
             for args, out in op.table.items():
                 if len(args) != op.arity or not set(args) <= vals or out not in vals:
                     raise ValueError(f"table for {name!r} has an entry outside the carrier")
-        if not self.connective_order:
-            object.__setattr__(self, "connective_order", tuple(sorted(self.ops)))
+        super().__init__(values, designated, ops, order,
+                         connective_order or tuple(sorted(ops)))
 
     def index(self, value: TruthValue) -> int:
         return self.values.index(value)
@@ -499,9 +502,11 @@ def matrix_from_json(doc: Mapping) -> LogicalMatrix:
 
 
 def bundled_m4_path() -> Path:
+    from pathlib import Path   # 10-15 ms to import where site has not
     return Path(__file__).parent / "data" / "m4.json"
 
 
 def load_matrix(path: str | Path) -> LogicalMatrix:
+    import json
     with open(path, encoding="utf-8") as fh:
         return matrix_from_json(json.load(fh))

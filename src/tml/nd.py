@@ -16,12 +16,12 @@ weakening, and with cut only at the steps listed in ``_ToSc``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import sc
 from .proofs import CheckError, fold, from_json, render, shared, to_json, walk
+from .record import Record
 from .sc import ScProof, ScRule
 from .sequents import Sequent
 from .syntax import And, BOT, Box, Formula, Neg, Or, parse
@@ -49,13 +49,32 @@ ND_RULES = {
 _DISCHARGE_AT = {"neg_and_e": (1, 2), "or_e": (1, 2), "box_i_star": (1,)}
 
 
-@dataclass(frozen=True)
-class NDDeduction:
+class NDDeduction(Record):
+    __slots__ = ("rule", "conclusion", "premises", "marker", "discharges")
     rule: str
     conclusion: Formula
-    premises: tuple["NDDeduction", ...] = ()
-    marker: Optional[str] = None                       # hyp nodes only
-    discharges: tuple[tuple[str, Formula], ...] = ()   # (marker, assumption)
+    premises: tuple[NDDeduction, ...]
+    marker: Optional[str]                        # hyp nodes only
+    discharges: tuple[tuple[str, Formula], ...]  # (marker, assumption)
+
+    def __init__(self, rule: str, conclusion: Formula, premises: tuple[NDDeduction, ...] = (),
+                 marker: Optional[str] = None,
+                 discharges: tuple[tuple[str, Formula], ...] = ()) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "marker", marker)
+        object.__setattr__(self, "discharges", discharges)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.rule, self.conclusion, self.premises, self.marker, self.discharges)
+                    == (other.rule, other.conclusion, other.premises, other.marker,
+                        other.discharges))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.conclusion, self.premises, self.marker, self.discharges))
 
     def json_fields(self, memo: dict) -> dict:
         doc: dict = {"rule": self.rule, "conclusion": self.conclusion.text}
@@ -86,8 +105,7 @@ def hyp(f: Formula, marker: str) -> NDDeduction:
     return NDDeduction("hyp", f, marker=marker)
 
 
-@dataclass(frozen=True)
-class NdResult:
+class NdResult(Record):
     ok: bool
     conclusion: Formula
     open: frozenset[Formula]

@@ -12,12 +12,11 @@ here, all iterative.
 
 from __future__ import annotations
 
-import json
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 
 __all__ = ["Path", "CheckError", "passes", "walk", "fold", "shared", "to_json", "dumps",
-           "from_json", "render"]
+           "dump_chunks", "from_json", "render"]
 
 Path = tuple[int, ...]   # premise indices from the root down to a node
 
@@ -122,37 +121,42 @@ def to_json(root: Any) -> dict:
 
 
 def dumps(root: Any) -> str:
-    """``json.dumps(to_json(root), indent=2)``, byte for byte, on an
-    explicit stack: the standard library's indenting encoder nests a
-    generator per open level, so its time grows with height times size
-    and it fails past the recursion limit."""
-    out: list[str] = []
+    """``json.dumps(to_json(root), indent=2)``, byte for byte."""
+    return "".join(dump_chunks(root))
+
+
+def dump_chunks(root: Any) -> Iterator[str]:
+    """The text of ``dumps(root)`` in pieces, for a caller that writes it
+    out without holding it whole.  On an explicit stack: the standard
+    library's indenting encoder nests a generator per open level, so its
+    time grows with height times size and it fails past the recursion
+    limit."""
+    import json
     # a str is text to write; a pair is a value and the line break that
     # starts each line of its level, one string shared by those lines
     todo: list[Any] = [(to_json(root), "\n")]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
-            out.append(item)
+            yield item
             continue
         value, nl = item
         if not value or not isinstance(value, (dict, list)):
-            out.append(json.dumps(value))
+            yield json.dumps(value)
             continue
         inner = nl + "  "
         sep = "," + inner
         if isinstance(value, dict):
-            out.append("{")
+            yield "{"
             todo.append(nl + "}")
             for k, v in reversed(value.items()):
                 todo += ((v, inner), f"{json.dumps(k)}: ", sep)
         else:
-            out.append("[")
+            yield "["
             todo.append(nl + "]")
             for v in reversed(value):
                 todo += ((v, inner), sep)
         todo[-1] = inner   # no comma before the first item
-    return "".join(out)
 
 
 _json_premises = methodcaller("get", "premises", ())

@@ -14,18 +14,20 @@ when asked to.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from .algebra import Algebra, m4_algebra, product_algebra
 from .matrix import (_apply2, _constant, _first_valuation, _leq_mask,
                      _value_planes)
 from .proofs import CheckError, fold, from_json, passes, render, shared, to_json, walk
+from .record import Record
 from .search import Step, decide
 from .sequents import Sequent, render_sequent, side_texts
 from .syntax import And, Box, Formula, Neg, Or, Var, formula_key, parse
+
+if TYPE_CHECKING:
+    from .algebra import Algebra
 
 __all__ = [
     "ScRule", "ScProof", "ScCheckError", "check_sc_proof", "verify_sc_proof",
@@ -58,12 +60,28 @@ class ScRule(str, Enum):
     NEG_BOX_R2 = "neg_box_r2"
 
 
-@dataclass(frozen=True)
-class ScProof:
+class ScProof(Record):
+    __slots__ = ("rule", "sequent", "principal", "premises")
     rule: ScRule
     sequent: Sequent
-    principal: tuple[Formula, ...] = ()
-    premises: tuple["ScProof", ...] = ()
+    principal: tuple[Formula, ...]
+    premises: tuple[ScProof, ...]
+
+    def __init__(self, rule: ScRule, sequent: Sequent, principal: tuple[Formula, ...] = (),
+                 premises: tuple[ScProof, ...] = ()) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "sequent", sequent)
+        object.__setattr__(self, "principal", principal)
+        object.__setattr__(self, "premises", premises)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.rule, self.sequent, self.principal, self.premises)
+                    == (other.rule, other.sequent, other.principal, other.premises))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.sequent, self.principal, self.premises))
 
     def json_fields(self, sides: dict) -> dict:
         seq = self.sequent
@@ -134,8 +152,7 @@ def _neg_box_parts(f: Formula):
     return None
 
 
-@dataclass(frozen=True)
-class _Schema:
+class _Schema(Record):
     side: str  # "L" or "R"
     parts: Callable[[Formula], Optional[tuple[Formula, ...]]]
     # given decomposed parts, the (left-additions, right-additions) per premise
@@ -568,6 +585,7 @@ def _schema_vars(premises, conclusion) -> list[str]:
 
 @cache
 def _default_algebras() -> tuple[Algebra, Algebra]:
+    from .algebra import m4_algebra, product_algebra
     base = m4_algebra()
     return base, product_algebra(base, base)
 

@@ -2,21 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .matrix import LogicalMatrix, M4, Valuation, satisfies
+from .record import Record
 from .syntax import Formula, formula_key, parse
 
 __all__ = ["Sequent", "parse_sequent", "render_sequent", "sequent_satisfied"]
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Record):
     """Pair of finite formula sets; equality is order-insensitive."""
 
+    __slots__ = ("left", "right")
     left: frozenset[Formula]
     right: frozenset[Formula]
+
+    def __init__(self, left: frozenset[Formula], right: frozenset[Formula]) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     @staticmethod
     def of(left: Iterable[Formula] = (), right: Iterable[Formula] = ()) -> "Sequent":

@@ -14,12 +14,12 @@ invertible and backward search never has to backtrack.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .matrix import LogicalMatrix, M4, TruthValue, Valuation, evaluate
 from .proofs import CheckError, from_json, passes, render, shared, to_json, walk
+from .record import Record
 from .search import Step, decide
 from .syntax import And, Box, Formula, Neg, Or, formula_key, parse
 
@@ -46,11 +46,22 @@ def parse_signed(text: str) -> SignedFormula:
     return SignedFormula(sign.strip(), parse(body))
 
 
-@dataclass(frozen=True)
-class NSequent:
+class NSequent(Record):
     """Tuple of formula sets, one component per truth value."""
 
+    __slots__ = ("components",)
     components: tuple[frozenset[Formula], ...]
+
+    def __init__(self, components: tuple[frozenset[Formula], ...]) -> None:
+        object.__setattr__(self, "components", components)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.components,) == (other.components,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
 
     @staticmethod
     def of(*components: Iterable[Formula]) -> "NSequent":
@@ -71,8 +82,7 @@ class NSequent:
 _CONNECTIVE_AST = {"neg": Neg, "box": Box, "and": And, "or": Or}
 
 
-@dataclass(frozen=True)
-class SignedRule:
+class SignedRule(Record):
     name: str
     kind: str  # "axiom" | "weakening" | "logical"
     connective: Optional[str] = None
@@ -160,11 +170,26 @@ def embed_two_sided(gamma: Iterable[Formula], delta: Iterable[Formula],
     return NSequent(tuple(comps))
 
 
-@dataclass(frozen=True)
-class SFDerivation:
+class SFDerivation(Record):
+    __slots__ = ("rule", "signed", "premises")
     rule: str
     signed: frozenset[SignedFormula]
-    premises: tuple["SFDerivation", ...] = ()
+    premises: tuple[SFDerivation, ...]
+
+    def __init__(self, rule: str, signed: frozenset[SignedFormula],
+                 premises: tuple[SFDerivation, ...] = ()) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "signed", signed)
+        object.__setattr__(self, "premises", premises)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.rule, self.signed, self.premises)
+                    == (other.rule, other.signed, other.premises))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.signed, self.premises))
 
     def json_fields(self, sets: dict) -> dict:
         return {"signed": shared(sets, self.signed, _signed_texts), "rule": self.rule,

@@ -12,8 +12,9 @@ ascii rendering (``text``) and node count (``size``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
+
+from .record import Record
 
 __all__ = [
     "Formula", "Var", "Bot", "Neg", "Box", "And", "Or", "BOT",
@@ -238,12 +239,23 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class _Token:
+class _Token(Record):
+    __slots__ = ("kind", "value", "line", "column")
     kind: str  # 'ident' 'bot' '~' '#' '&' '|' '(' ')' 'end'
     value: str
     line: int
     column: int
+
+    # not frozen, so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, kind: str, value: str, line: int, column: int) -> None:
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.column = column
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -376,16 +388,16 @@ def render(f: Formula, style: str = "ascii") -> str:
 PLACEHOLDER = Var("p")
 
 
-@dataclass(frozen=True)
-class FormulaTemplate:
+class FormulaTemplate(Record):
     """One-variable formula scheme; the only allowed variable is p."""
 
     body: Formula
 
-    def __post_init__(self) -> None:
-        extra = variables(self.body) - {PLACEHOLDER.name}
+    def __init__(self, body: Formula) -> None:
+        extra = variables(body) - {PLACEHOLDER.name}
         if extra:
             raise ValueError(f"template may only use 'p', found {sorted(extra)}")
+        super().__init__(body)
 
     def __str__(self) -> str:
         return self.body.text

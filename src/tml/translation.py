@@ -12,10 +12,10 @@ signed calculus into two-sided rules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .matrix import LogicalMatrix, M4, _refuting, _value_planes
+from .record import Record
 from .sequents import Sequent, render_sequent
 from .signed import NSequent, SignedRule
 from .syntax import (Formula, FormulaTemplate, Neg, PLACEHOLDER, Var,
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ValueTemplates:
+class ValueTemplates(Record):
     """Slot templates for one truth value: instances of n_side must be
     non-designated and instances of d_side designated."""
 
@@ -38,8 +37,7 @@ class ValueTemplates:
     d_side: tuple[FormulaTemplate, ...]
 
 
-@dataclass(frozen=True)
-class ExpressivenessSpec:
+class ExpressivenessSpec(Record):
     per_value: Mapping[str, ValueTemplates]
 
     def templates(self, value: str) -> ValueTemplates:
@@ -88,8 +86,7 @@ def m4_spec() -> ExpressivenessSpec:
 
 # A partition routes every formula of every component into one slot:
 # entries are (value, formula, side, slot_index) with side "n" or "d".
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     entries: tuple[tuple[str, Formula, str, int], ...]
 
 
@@ -192,8 +189,7 @@ def _singleton(value: str, f: Formula, m: LogicalMatrix) -> NSequent:
     return NSequent(tuple(comps))
 
 
-@dataclass(frozen=True)
-class TranslatedRule:
+class TranslatedRule(Record):
     """One signed rule mapped through the translation: shared schematic
     premises and one conclusion per translation of the signed conclusion
     (trivial alternatives already removed)."""
@@ -203,8 +199,7 @@ class TranslatedRule:
     conclusions: tuple[Sequent, ...]
 
 
-@dataclass(frozen=True)
-class TranslatedCalculus:
+class TranslatedCalculus(Record):
     axioms: tuple[Sequent, ...]
     rules: tuple[TranslatedRule, ...]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -6,7 +5,7 @@ import random
 
 import pytest
 
-from tml.algebra import (algebra_evaluate, check_tma_laws, m4_algebra,
+from tml.algebra import (Algebra, algebra_evaluate, check_tma_laws, m4_algebra,
                          product_algebra)
 from tml.matrix import _value_planes, evaluate
 from tml.syntax import And, Var, parse
@@ -87,9 +86,10 @@ def test_one_is_neg_zero(m4):
 
 def _mutant(alg, table, key, value):
     """The algebra with one entry of one operation (or its zero) changed."""
-    if table == "zero":
-        return dataclasses.replace(alg, zero=value)
-    return dataclasses.replace(alg, **{table: {**getattr(alg, table), key: value}})
+    fields = {name: getattr(alg, name)
+              for name in ("carrier", "meet", "join", "neg", "box", "zero")}
+    fields[table] = value if table == "zero" else {**fields[table], key: value}
+    return Algebra(**fields)
 
 
 def _single_entry_mutants(alg):

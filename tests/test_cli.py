@@ -20,7 +20,8 @@ class _Tally:
         self.head = self.tail = ""
 
     def write(self, text):
-        self.head = self.head or text[:100]
+        if len(self.head) < 100:
+            self.head = (self.head + text)[:100]
         self.tail = (self.tail + text[-100:])[-100:]
         return len(text)
 
@@ -55,7 +56,7 @@ class TestBasics:
         # as "not valid"
         def exhausted(*args):
             raise RecursionError("maximum recursion depth exceeded")
-        monkeypatch.setattr("tml.cli.matrix_consequence", exhausted)
+        monkeypatch.setattr("tml.matrix.matrix_consequence", exhausted)
         assert run(["valid", "p | ~#p"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
@@ -179,8 +180,6 @@ class TestCheckAndTranslate:
         assert run(["check", "--calculus", "sc", "--allow-cut", str(sc_path)]) == 0
 
     def test_check_reports_the_first_bad_node(self, tmp_path, capsys):
-        from dataclasses import replace
-
         from tml import gcalc, nd, sc, signed
         from tml.sequents import parse_sequent
         from tml.syntax import And, Or, Var
@@ -189,7 +188,8 @@ class TestCheckAndTranslate:
         pr = sc.prove(parse_sequent("p & q => q & p"))
         and_r = pr.premises[0]
         bad_leaf = sc.ScProof(sc.ScRule.WEAK_L, and_r.premises[1].sequent, (p,))
-        bad_sc = replace(pr, premises=(replace(and_r, premises=(and_r.premises[0], bad_leaf)),))
+        bad_sc = sc.ScProof(pr.rule, pr.sequent, pr.principal, (sc.ScProof(
+            and_r.rule, and_r.sequent, and_r.principal, (and_r.premises[0], bad_leaf)),))
 
         G, GS = gcalc.GRule, gcalc.GSequent
         pq = frozenset({p, q})

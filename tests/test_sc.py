@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -56,7 +55,8 @@ class TestChecker:
         pr = prove(parse_sequent("p & q => q & p"))
         and_r = pr.premises[0]
         bad_leaf = ScProof(ScRule.WEAK_L, and_r.premises[1].sequent, (p,))
-        bad = replace(pr, premises=(replace(and_r, premises=(and_r.premises[0], bad_leaf)),))
+        bad = ScProof(pr.rule, pr.sequent, pr.principal, (ScProof(
+            and_r.rule, and_r.sequent, and_r.principal, (and_r.premises[0], bad_leaf)),))
         with pytest.raises(ScCheckError) as exc:
             verify_sc_proof(bad)
         assert exc.value.path == (0, 1)
