@@ -339,6 +339,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:   # the reader closed stdout: main exits quietly
+        raise
     except (SyntaxError_, ValueError, OSError, KeyError, _CliError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,7 +24,7 @@ from .proofs import CheckError, fold, from_json, render, shared, to_json, walk
 from .record import Record
 from .sc import ScProof, ScRule
 from .sequents import Sequent
-from .syntax import And, BOT, Box, Formula, Neg, Or, parse
+from .syntax import And, BOT, Box, Formula, Neg, Or, Var, parse
 
 __all__ = [
     "NDDeduction", "NdCheckError", "NdResult", "check_nd", "verify_nd",
@@ -33,20 +33,43 @@ __all__ = [
     "hyp",
 ]
 
-ND_RULES = {
-    "hyp": 0, "ma": 0,
-    "and_i": 2, "and_e1": 1, "and_e2": 1,
-    "neg_and_i1": 1, "neg_and_i2": 1, "neg_and_e": 3,
-    "or_i1": 1, "or_i2": 1, "or_e": 3,
-    "neg_or_i": 2, "neg_or_e1": 1, "neg_or_e2": 1,
-    "neg_neg_i": 1, "neg_neg_e": 1,
-    "box_i_star": 2, "box_e": 1,
-    "neg_box_i": 1, "neg_box_e": 2,
-    "bot_i": 1, "bot_e": 1,
+_A, _B, _C = Var("a"), Var("b"), Var("c")
+
+# Every rule but hyp: the conclusions of its premises, its conclusion,
+# and the assumptions it discharges, each with the premise it closes in,
+# all as shapes over the letters a, b and c.
+_RULES = {
+    "ma": ((), Or(_A, Neg(Box(_A))), ()),
+    "and_i": ((_A, _B), And(_A, _B), ()),
+    "and_e1": ((And(_A, _B),), _A, ()),
+    "and_e2": ((And(_A, _B),), _B, ()),
+    "neg_and_i1": ((Neg(_A),), Neg(And(_A, _B)), ()),
+    "neg_and_i2": ((Neg(_B),), Neg(And(_A, _B)), ()),
+    "neg_and_e": ((Neg(And(_A, _B)), _C, _C), _C, ((1, Neg(_A)), (2, Neg(_B)))),
+    "or_i1": ((_A,), Or(_A, _B), ()),
+    "or_i2": ((_B,), Or(_A, _B), ()),
+    "or_e": ((Or(_A, _B), _C, _C), _C, ((1, _A), (2, _B))),
+    "neg_or_i": ((Neg(_A), Neg(_B)), Neg(Or(_A, _B)), ()),
+    "neg_or_e1": ((Neg(Or(_A, _B)),), Neg(_A), ()),
+    "neg_or_e2": ((Neg(Or(_A, _B)),), Neg(_B), ()),
+    "neg_neg_i": ((_A,), Neg(Neg(_A)), ()),
+    "neg_neg_e": ((Neg(Neg(_A)),), _A, ()),
+    "box_i_star": ((Or(_A, _B), _A), Or(_A, Box(_B)), ((1, Neg(_B)),)),
+    "box_e": ((Box(_A),), _A, ()),
+    "neg_box_i": ((Neg(_A),), Neg(Box(_A)), ()),
+    "neg_box_e": ((Neg(Box(_A)), _A), Neg(_A), ()),
+    "bot_i": ((And(Neg(_A), Box(_A)),), BOT, ()),
+    "bot_e": ((BOT,), _A, ()),
 }
 
+ND_RULES = {"hyp": 0, **{r: len(row[0]) for r, row in _RULES.items()}}
+
+# each rule's shapes in the order _check_schema lists a node's formulas
+_SHAPES = {r: (conclusion, *prems, *(shape for _, shape in discharged))
+           for r, (prems, conclusion, discharged) in _RULES.items()}
+
 # which premise index each discharge slot of a rule closes
-_DISCHARGE_AT = {"neg_and_e": (1, 2), "or_e": (1, 2), "box_i_star": (1,)}
+_DISCHARGE_AT = {r: tuple(at for at, _ in row[2]) for r, row in _RULES.items() if row[2]}
 
 
 class NDDeduction(Record):
@@ -112,6 +135,25 @@ class NdResult(Record):
     error: Optional[str] = None
 
 
+def _fits(shapes: Sequence[Formula], formulas: Sequence[Formula]) -> bool:
+    """Whether each formula has its shape, each letter standing for one
+    formula throughout."""
+    bound: dict[Formula, Formula] = {}
+    pairs = list(zip(shapes, formulas))
+    for shape, f in pairs:   # the children of a pair join the list behind it
+        t = type(shape)
+        if t is Var:
+            if bound.setdefault(shape, f) is not f:
+                return False
+        elif type(f) is not t:
+            return False
+        elif t is Neg or t is Box:
+            pairs.append((shape.child, f.child))
+        elif f is not BOT:
+            pairs += ((shape.left, f.left), (shape.right, f.right))
+    return True
+
+
 def _check_schema(node: NDDeduction, path: Sequence[int]) -> None:
     """Local shape check: arity, marker placement, discharge slots, and
     the premise/conclusion pattern of the rule."""
@@ -128,71 +170,14 @@ def _check_schema(node: NDDeduction, path: Sequence[int]) -> None:
     elif node.discharges:
         raise CheckError(path, f"rule {r!r} does not discharge hypotheses")
 
-    c = node.conclusion
-    prem = [q.conclusion for q in node.premises]
-    ok = False
     if r == "hyp":
         ok = node.marker is not None
-    elif r == "ma":
-        ok = (isinstance(c, Or) and isinstance(c.right, Neg)
-              and isinstance(c.right.child, Box) and c.right.child.child is c.left)
-    elif r == "and_i":
-        ok = isinstance(c, And) and prem == [c.left, c.right]
-    elif r == "and_e1":
-        ok = isinstance(prem[0], And) and prem[0].left is c
-    elif r == "and_e2":
-        ok = isinstance(prem[0], And) and prem[0].right is c
-    elif r in ("neg_and_i1", "neg_and_i2"):
-        if isinstance(c, Neg) and isinstance(c.child, And) and isinstance(prem[0], Neg):
-            part = c.child.left if r == "neg_and_i1" else c.child.right
-            ok = prem[0].child is part
-    elif r == "neg_and_e":
-        p0 = prem[0]
-        if isinstance(p0, Neg) and isinstance(p0.child, And) and prem[1] is c and prem[2] is c:
-            want = (Neg(p0.child.left), Neg(p0.child.right))
-            ok = tuple(f for _, f in node.discharges) == want
-    elif r == "or_i1":
-        ok = isinstance(c, Or) and c.left is prem[0]
-    elif r == "or_i2":
-        ok = isinstance(c, Or) and c.right is prem[0]
-    elif r == "or_e":
-        p0 = prem[0]
-        if isinstance(p0, Or) and prem[1] is c and prem[2] is c:
-            ok = tuple(f for _, f in node.discharges) == (p0.left, p0.right)
-    elif r == "neg_or_i":
-        ok = (isinstance(c, Neg) and isinstance(c.child, Or)
-              and isinstance(prem[0], Neg) and isinstance(prem[1], Neg)
-              and prem[0].child is c.child.left and prem[1].child is c.child.right)
-    elif r in ("neg_or_e1", "neg_or_e2"):
-        p0 = prem[0]
-        if isinstance(p0, Neg) and isinstance(p0.child, Or) and isinstance(c, Neg):
-            part = p0.child.left if r == "neg_or_e1" else p0.child.right
-            ok = c.child is part
-    elif r == "neg_neg_i":
-        ok = isinstance(c, Neg) and isinstance(c.child, Neg) and c.child.child is prem[0]
-    elif r == "neg_neg_e":
-        p0 = prem[0]
-        ok = isinstance(p0, Neg) and isinstance(p0.child, Neg) and p0.child.child is c
-    elif r == "box_i_star":
-        if (isinstance(c, Or) and isinstance(c.right, Box)
-                and isinstance(prem[0], Or) and prem[0].left is c.left
-                and prem[0].right is c.right.child and prem[1] is c.left):
-            ok = tuple(f for _, f in node.discharges) == (Neg(c.right.child),)
-    elif r == "box_e":
-        ok = isinstance(prem[0], Box) and prem[0].child is c
-    elif r == "neg_box_i":
-        ok = (isinstance(c, Neg) and isinstance(c.child, Box)
-              and isinstance(prem[0], Neg) and prem[0].child is c.child.child)
-    elif r == "neg_box_e":
-        p0 = prem[0]
-        ok = (isinstance(p0, Neg) and isinstance(p0.child, Box) and isinstance(c, Neg)
-              and p0.child.child is prem[1] and c.child is prem[1])
-    elif r == "bot_i":
-        p0 = prem[0]
-        ok = (c is BOT and isinstance(p0, And) and isinstance(p0.left, Neg)
-              and isinstance(p0.right, Box) and p0.left.child is p0.right.child)
-    elif r == "bot_e":
-        ok = prem[0] is BOT
+    else:
+        formulas = [node.conclusion]
+        formulas += [q.conclusion for q in node.premises]
+        if node.discharges:
+            formulas += [f for _, f in node.discharges]
+        ok = _fits(_SHAPES[r], formulas)
     if not ok:
         raise CheckError(path, f"conclusion/premises do not fit rule {r!r}")
 
@@ -303,8 +288,8 @@ _SC_RULE = {name: rule for table in (_ND_INTRO, _ND_ELIM)
 
 def _added(rule: ScRule, pi: Formula) -> list[tuple[Formula, ...]]:
     """The formulas each premise of a logical rule adds on its side."""
-    schema = sc._SCHEMAS[rule]
-    return [dl if schema.side == "L" else dr for dl, dr in schema.deltas(schema.parts(pi))]
+    _, side, _, adds = sc._RULE[rule]
+    return [dl if side == "L" else dr for dl, dr in adds(*sc._parts(pi))]
 
 
 # A handler step (rule, conclusion, premises before, premises after) puts

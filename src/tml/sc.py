@@ -113,76 +113,62 @@ def proof_size(p: ScProof) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rule schemas.  For a logical rule: the side its principal lives on, a
-# decomposition of the principal, and per-premise side-formula additions.
+# The logical rules, in the order the search prefers them: one-premise
+# rules first, and box_l2 before box_l1, neg_box_r1 before neg_box_r2.
+# A row holds the rule, the side its principal lives on, the principal's
+# shape over the letters a and b, and, given the principal's parts, the
+# formulas each premise adds on the left and on the right.
 
-def _or_parts(f: Formula):
-    return (f.left, f.right) if isinstance(f, Or) else None
+_A, _B = Var("a"), Var("b")
 
-
-def _and_parts(f: Formula):
-    return (f.left, f.right) if isinstance(f, And) else None
-
-
-def _neg_or_parts(f: Formula):
-    if isinstance(f, Neg) and isinstance(f.child, Or):
-        return (f.child.left, f.child.right)
-    return None
-
-
-def _neg_and_parts(f: Formula):
-    if isinstance(f, Neg) and isinstance(f.child, And):
-        return (f.child.left, f.child.right)
-    return None
-
-
-def _neg_neg_parts(f: Formula):
-    if isinstance(f, Neg) and isinstance(f.child, Neg):
-        return (f.child.child,)
-    return None
-
-
-def _box_parts(f: Formula):
-    return (f.child,) if isinstance(f, Box) else None
+_RULES = (
+    (ScRule.NEG_NEG_L, "L", Neg(Neg(_A)), lambda a: [((a,), ())]),
+    (ScRule.NEG_NEG_R, "R", Neg(Neg(_A)), lambda a: [((), (a,))]),
+    (ScRule.AND_L, "L", And(_A, _B), lambda a, b: [((a, b), ())]),
+    (ScRule.OR_R, "R", Or(_A, _B), lambda a, b: [((), (a, b))]),
+    (ScRule.NEG_OR_L, "L", Neg(Or(_A, _B)), lambda a, b: [((Neg(a), Neg(b)), ())]),
+    (ScRule.NEG_AND_R, "R", Neg(And(_A, _B)), lambda a, b: [((), (Neg(a), Neg(b)))]),
+    (ScRule.NEG_BOX_R1, "R", Neg(Box(_A)), lambda a: [((a,), ())]),
+    (ScRule.NEG_BOX_R2, "R", Neg(Box(_A)), lambda a: [((), (Neg(a),))]),
+    (ScRule.BOX_L2, "L", Box(_A), lambda a: [((), (Neg(a),))]),
+    (ScRule.BOX_L1, "L", Box(_A), lambda a: [((a,), ())]),
+    (ScRule.OR_L, "L", Or(_A, _B), lambda a, b: [((a,), ()), ((b,), ())]),
+    (ScRule.AND_R, "R", And(_A, _B), lambda a, b: [((), (a,)), ((), (b,))]),
+    (ScRule.NEG_OR_R, "R", Neg(Or(_A, _B)), lambda a, b: [((), (Neg(a),)), ((), (Neg(b),))]),
+    (ScRule.NEG_AND_L, "L", Neg(And(_A, _B)), lambda a, b: [((Neg(a),), ()), ((Neg(b),), ())]),
+    (ScRule.BOX_R, "R", Box(_A), lambda a: [((), (a,)), ((Neg(a),), ())]),
+    (ScRule.NEG_BOX_L, "L", Neg(Box(_A)), lambda a: [((), (a,)), ((Neg(a),), ())]),
+)
+_RULE = {row[0]: row for row in _RULES}
 
 
-def _neg_box_parts(f: Formula):
-    if isinstance(f, Neg) and isinstance(f.child, Box):
-        return (f.child.child,)
-    return None
+def _head(f: Formula) -> tuple:
+    """What a shape fixes of a formula: its connective, and under ~ its
+    child's."""
+    return (Neg, type(f.child)) if type(f) is Neg else (type(f),)
 
 
-class _Schema(Record):
-    side: str  # "L" or "R"
-    parts: Callable[[Formula], Optional[tuple[Formula, ...]]]
-    # given decomposed parts, the (left-additions, right-additions) per premise
-    deltas: Callable[[tuple[Formula, ...]], list[tuple[tuple[Formula, ...], tuple[Formula, ...]]]]
+def _has_shape(f: Formula, shape: Formula) -> bool:
+    """_head(f) == _head(shape), without building the tuples."""
+    return type(f) is type(shape) and (type(f) is not Neg or type(f.child) is type(shape.child))
 
 
-_SCHEMAS: dict[ScRule, _Schema] = {
-    ScRule.OR_L: _Schema("L", _or_parts, lambda ps: [((ps[0],), ()), ((ps[1],), ())]),
-    ScRule.OR_R: _Schema("R", _or_parts, lambda ps: [((), (ps[0], ps[1]))]),
-    ScRule.NEG_OR_L: _Schema("L", _neg_or_parts,
-                             lambda ps: [((Neg(ps[0]), Neg(ps[1])), ())]),
-    ScRule.NEG_OR_R: _Schema("R", _neg_or_parts,
-                             lambda ps: [((), (Neg(ps[0]),)), ((), (Neg(ps[1]),))]),
-    ScRule.AND_L: _Schema("L", _and_parts, lambda ps: [((ps[0], ps[1]), ())]),
-    ScRule.AND_R: _Schema("R", _and_parts, lambda ps: [((), (ps[0],)), ((), (ps[1],))]),
-    ScRule.NEG_AND_L: _Schema("L", _neg_and_parts,
-                              lambda ps: [((Neg(ps[0]),), ()), ((Neg(ps[1]),), ())]),
-    ScRule.NEG_AND_R: _Schema("R", _neg_and_parts,
-                              lambda ps: [((), (Neg(ps[0]), Neg(ps[1])))]),
-    ScRule.NEG_NEG_L: _Schema("L", _neg_neg_parts, lambda ps: [((ps[0],), ())]),
-    ScRule.NEG_NEG_R: _Schema("R", _neg_neg_parts, lambda ps: [((), (ps[0],))]),
-    ScRule.BOX_L1: _Schema("L", _box_parts, lambda ps: [((ps[0],), ())]),
-    ScRule.BOX_L2: _Schema("L", _box_parts, lambda ps: [((), (Neg(ps[0]),))]),
-    ScRule.BOX_R: _Schema("R", _box_parts,
-                          lambda ps: [((), (ps[0],)), ((Neg(ps[0]),), ())]),
-    ScRule.NEG_BOX_L: _Schema("L", _neg_box_parts,
-                              lambda ps: [((), (ps[0],)), ((Neg(ps[0]),), ())]),
-    ScRule.NEG_BOX_R1: _Schema("R", _neg_box_parts, lambda ps: [((ps[0],), ())]),
-    ScRule.NEG_BOX_R2: _Schema("R", _neg_box_parts, lambda ps: [((), (Neg(ps[0]),))]),
-}
+def _parts(f: Formula) -> tuple[Formula, ...]:
+    """The formulas a and b of a principal that has its rule's shape."""
+    g = f.child if type(f) is Neg else f
+    return (g.child,) if type(g) is Neg or type(g) is Box else (g.left, g.right)
+
+
+# per side and head, (rule, additions, premise count, row index) of each
+# row; the search orders candidates by count, principal, then index
+_CANDIDATES: dict[tuple, list[tuple]] = {}
+for _i, (_rule, _side, _shape, _adds) in enumerate(_RULES):
+    _CANDIDATES.setdefault((_side, *_head(_shape)), []).append(
+        (_rule, _adds, len(_adds(*_parts(_shape))), _i))
+
+
+def _rules_for(side: str, f: Formula) -> Sequence[tuple]:
+    return _CANDIDATES.get((side, *_head(f)), ())
 
 
 def verify_sc_proof(p: ScProof, allow_cut: bool = False) -> None:
@@ -221,22 +207,20 @@ def verify_sc_proof(p: ScProof, allow_cut: bool = False) -> None:
                     and p2.left == seq.left | {chi} and p2.right == seq.right):
                 raise CheckError(path, "premises do not match the cut schema", node.rule)
         else:
-            schema = _SCHEMAS[node.rule]
+            _, side, shape, adds = _RULE[node.rule]
             if len(node.principal) != 1:
                 raise CheckError(path, "logical rule needs its principal formula", node.rule)
             (pi,) = node.principal
-            pool = seq.left if schema.side == "L" else seq.right
-            if pi not in pool:
+            if pi not in (seq.left if side == "L" else seq.right):
                 raise CheckError(path, "principal formula is not in the sequent", node.rule)
-            parts = schema.parts(pi)
-            if parts is None:
+            if not _has_shape(pi, shape):
                 raise CheckError(path, "principal has the wrong shape", node.rule)
-            deltas = schema.deltas(parts)
+            deltas = adds(*_parts(pi))
             if len(node.premises) != len(deltas):
                 raise CheckError(
                     path, f"expected {len(deltas)} premise(s), found {len(node.premises)}",
                     node.rule)
-            if schema.side == "L":
+            if side == "L":
                 base_variants = [(seq.left - {pi}, seq.right), (seq.left, seq.right)]
             else:
                 base_variants = [(seq.left, seq.right - {pi}), (seq.left, seq.right)]
@@ -254,39 +238,8 @@ def verify_sc_proof(p: ScProof, allow_cut: bool = False) -> None:
 #
 # Every rule is invertible (see tml.search), so the first candidate whose
 # premises all add something decides the sequent.  Candidates are ordered
-# single-premise decompositions first, then by principal (size, text), then
-# by the priority below; box_l2 precedes box_l1 and neg_box_r1 precedes
-# neg_box_r2.  This order pins down which proof is found.
-
-_TIER1 = (ScRule.NEG_NEG_L, ScRule.NEG_NEG_R, ScRule.AND_L, ScRule.OR_R,
-          ScRule.NEG_OR_L, ScRule.NEG_AND_R, ScRule.NEG_BOX_R1,
-          ScRule.NEG_BOX_R2, ScRule.BOX_L2, ScRule.BOX_L1)
-_TIER2 = (ScRule.OR_L, ScRule.AND_R, ScRule.NEG_OR_R, ScRule.NEG_AND_L,
-          ScRule.BOX_R, ScRule.NEG_BOX_L)
-_PRIORITY = {rule: i for i, rule in enumerate(_TIER1 + _TIER2)}
-_TIER = {rule: (1 if rule in _TIER1 else 2) for rule in _TIER1 + _TIER2}
-
-
-def _rules_for(side: str, f: Formula) -> tuple[ScRule, ...]:
-    if isinstance(f, Or):
-        return (ScRule.OR_L,) if side == "L" else (ScRule.OR_R,)
-    if isinstance(f, And):
-        return (ScRule.AND_L,) if side == "L" else (ScRule.AND_R,)
-    if isinstance(f, Box):
-        return (ScRule.BOX_L2, ScRule.BOX_L1) if side == "L" else (ScRule.BOX_R,)
-    if isinstance(f, Neg):
-        g = f.child
-        if isinstance(g, Or):
-            return (ScRule.NEG_OR_L,) if side == "L" else (ScRule.NEG_OR_R,)
-        if isinstance(g, And):
-            return (ScRule.NEG_AND_L,) if side == "L" else (ScRule.NEG_AND_R,)
-        if isinstance(g, Neg):
-            return (ScRule.NEG_NEG_L,) if side == "L" else (ScRule.NEG_NEG_R,)
-        if isinstance(g, Box):
-            if side == "L":
-                return (ScRule.NEG_BOX_L,)
-            return (ScRule.NEG_BOX_R1, ScRule.NEG_BOX_R2)
-    return ()
+# by premise count, then by principal (size, text), then by row of
+# _RULES.  This order pins down which proof is found.
 
 
 def _expand(seq: Sequent) -> Optional[Step]:
@@ -302,12 +255,11 @@ def _expand(seq: Sequent) -> Optional[Step]:
     best = None
     for side, pool in (("L", seq.left), ("R", seq.right)):
         for f in pool:
-            for rule in _rules_for(side, f):
-                key = (_TIER[rule],) + formula_key(f) + (_PRIORITY[rule],)
+            for rule, adds, count, row in _rules_for(side, f):
+                key = (count,) + formula_key(f) + (row,)
                 if best_key is not None and key >= best_key:
                     continue
-                schema = _SCHEMAS[rule]
-                deltas = schema.deltas(schema.parts(f))
+                deltas = adds(*_parts(f))
                 if any(seq.left.issuperset(dl) and seq.right.issuperset(dr)
                        for dl, dr in deltas):
                     continue
@@ -383,9 +335,9 @@ def cut(p_right: ScProof, p_left: ScProof, chi: Formula,
 def _lemma(rule: ScRule, pi: Formula, x: Formula) -> ScProof:
     """The one-rule proof of pi => x, for a left rule, or of x => pi, for
     a right rule, over the axiom x => x weakened by the rule's additions."""
-    schema = _SCHEMAS[rule]
-    ((dl, dr),) = schema.deltas(schema.parts(pi))
-    if schema.side == "L":
+    _, side, _, adds = _RULE[rule]
+    ((dl, dr),) = adds(*_parts(pi))
+    if side == "L":
         base, seq = weaken(axiom([x], [x]), dl, [x, *dr]), Sequent.of([pi], [x])
     else:
         base, seq = weaken(axiom([x], [x]), [x, *dl], dr), Sequent.of([x], [pi])
@@ -430,8 +382,8 @@ def _apply(rule: ScRule, conclusion: Sequent, principal: Formula,
            subs: Sequence[ScProof]) -> ScProof:
     """Build a rule node with the retained-context reading, weakening
     each subproof up to its required premise sequent."""
-    schema = _SCHEMAS[rule]
-    deltas = schema.deltas(schema.parts(principal))
+    _, _, _, adds = _RULE[rule]
+    deltas = adds(*_parts(principal))
     reqs = [Sequent(conclusion.left | frozenset(dl), conclusion.right | frozenset(dr))
             for dl, dr in deltas]
     prems = tuple(weaken(s, r.left, r.right) for s, r in zip(subs, reqs))
@@ -453,12 +405,12 @@ def _double_negated(rule: ScRule) -> tuple[tuple[tuple[int, str], ...], ...]:
     """Per premise of a logical rule, the parts a of the principal whose
     ~~a the contraposed premise holds, by index, each with its side:
     the parts the rule adds negated, on the other side."""
-    schema = _SCHEMAS[rule]
-    letters = schema.parts(_shape(schema))
+    _, _, shape, adds = _RULE[rule]
+    letters = _parts(shape)
     return tuple(tuple((letters.index(f.child), side)
                        for side, fs in (("R", dl), ("L", dr)) for f in fs
                        if isinstance(f, Neg) and f.child in letters)
-                 for dl, dr in schema.deltas(letters))
+                 for dl, dr in adds(*letters))
 
 
 def _contrapose(node: ScProof, subs: list[ScProof]) -> ScProof:
@@ -473,17 +425,17 @@ def _contrapose(node: ScProof, subs: list[ScProof]) -> ScProof:
         raise ValueError("contrapose requires a cut-free proof")
 
     (pi,) = node.principal
-    parts = _SCHEMAS[node.rule].parts(pi)
+    parts = _parts(pi)
     for i, double_negated in enumerate(_double_negated(node.rule)):
         for k, side in double_negated:
             subs[i] = _unnegate(subs[i], parts[k], side)
     if node.rule in (ScRule.BOX_R, ScRule.NEG_BOX_L):
         subs.reverse()   # the partner takes the premise adding a first
-    partner = _PARTNER[node.rule]
-    if _SCHEMAS[partner].parts(Neg(pi)) is not None:
+    partner, side, shape, _ = _RULE[_PARTNER[node.rule]]
+    if _has_shape(Neg(pi), shape):
         return _apply(partner, target, Neg(pi), subs)
     inner = pi.child
-    if _SCHEMAS[partner].side == "L":
+    if side == "L":
         step = _apply(partner, Sequent(target.left | {inner}, target.right), inner, subs)
         return _apply(ScRule.NEG_NEG_L, target, Neg(pi), [step])
     step = _apply(partner, Sequent(target.left, target.right | {inner}), inner, subs)
@@ -544,33 +496,18 @@ def denecessitate(p: ScProof) -> ScProof:
 # Local degree-soundness of the rule schemas over the algebra and a
 # product of it with itself.
 
-_G, _D, _A, _B = Var("g"), Var("d"), Var("a"), Var("b")
+_G, _D = Var("g"), Var("d")
 
-# the principal shapes of the logical rules, over the letters a and b
-_SHAPES = (Or(_A, _B), And(_A, _B), Neg(Or(_A, _B)), Neg(And(_A, _B)),
-           Neg(Neg(_A)), Box(_A), Neg(Box(_A)))
-
-
-def _shape(schema: _Schema) -> Formula:
-    """The principal shape of a logical rule over the letters a and b."""
-    return next(f for f in _SHAPES if schema.parts(f) is not None)
-
-
-def _instance(schema: _Schema) -> tuple[list[tuple[list, list]], tuple[list, list]]:
-    """A logical rule as (premises, conclusion), each a pair of formula
-    lists: its principal shape over a and b in the contexts g and d."""
-    pi = _shape(schema)
-    premises = [([_G, *dl], [_D, *dr]) for dl, dr in schema.deltas(schema.parts(pi))]
-    conclusion = ([_G, pi], [_D]) if schema.side == "L" else ([_G], [_D, pi])
-    return premises, conclusion
-
-
+# each rule as (premises, conclusion), each a pair of formula lists; a
+# logical rule is its row's principal shape in the contexts g and d
 _SOUNDNESS_SCHEMA: dict[ScRule, tuple[list[tuple[list, list]], tuple[list, list]]] = {
     ScRule.AXIOM: ([], ([_A], [_A])),
     ScRule.WEAK_L: ([([_G], [_D])], ([_G, _A], [_D])),
     ScRule.WEAK_R: ([([_G], [_D])], ([_G], [_D, _A])),
     ScRule.CUT: ([([_G], [_D, _A]), ([_G, _A], [_D])], ([_G], [_D])),
-    **{rule: _instance(schema) for rule, schema in _SCHEMAS.items()},
+    **{rule: ([([_G, *dl], [_D, *dr]) for dl, dr in adds(*_parts(shape))],
+              ([_G, shape], [_D]) if side == "L" else ([_G], [_D, shape]))
+       for rule, side, shape, adds in _RULES},
 }
 
 

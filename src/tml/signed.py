@@ -17,11 +17,11 @@ import itertools
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .matrix import LogicalMatrix, M4, TruthValue, Valuation, evaluate
+from .matrix import _CONNECTIVE, LogicalMatrix, M4, TruthValue, Valuation, evaluate
 from .proofs import CheckError, from_json, passes, render, shared, to_json, walk
 from .record import Record
 from .search import Step, decide
-from .syntax import And, Box, Formula, Neg, Or, formula_key, parse
+from .syntax import Box, Formula, Neg, formula_key, parse
 
 __all__ = [
     "SignedFormula", "NSequent", "SignedRule", "SFDerivation",
@@ -77,9 +77,6 @@ class NSequent(Record):
         return " | ".join(
             ", ".join(f.text for f in sorted(c, key=formula_key))
             for c in self.components)
-
-
-_CONNECTIVE_AST = {"neg": Neg, "box": Box, "and": And, "or": Or}
 
 
 class SignedRule(Record):
@@ -244,9 +241,8 @@ def verify_sf_derivation(d: SFDerivation, m: LogicalMatrix = M4) -> None:
 
 
 def _matches_logical(node: SFDerivation, rule: SignedRule) -> bool:
-    ctor = _CONNECTIVE_AST[rule.connective]
     for sf in node.signed:
-        if sf.sign != rule.out_sign or not isinstance(sf.formula, ctor):
+        if sf.sign != rule.out_sign or _CONNECTIVE.get(type(sf.formula)) != rule.connective:
             continue
         if isinstance(sf.formula, (Neg, Box)):
             args = (sf.formula.child,)
@@ -263,9 +259,6 @@ def _matches_logical(node: SFDerivation, rule: SignedRule) -> bool:
     return False
 
 
-_CONNECTIVE_NAME = {ctor: name for name, ctor in _CONNECTIVE_AST.items()}
-
-
 def _first_step(omega: frozenset[SignedFormula], table: _RuleTable) -> Optional[Step]:
     """The first (signed formula, sign tuple) pair whose premises all
     differ from omega, as premise sets and a node builder; None when
@@ -275,14 +268,15 @@ def _first_step(omega: frozenset[SignedFormula], table: _RuleTable) -> Optional[
     best = None
     for sf in omega:
         f = sf.formula
-        conn = _CONNECTIVE_NAME.get(type(f))
-        if conn is None:
+        conn = _CONNECTIVE.get(type(f))
+        tuples = table.tuples_for.get((conn, sf.sign))
+        if tuples is None:
             continue
         key = (table.sign_index[sf.sign],) + formula_key(f)
         if best_key is not None and key >= best_key:
             continue
         args = (f.child,) if conn in ("neg", "box") else (f.left, f.right)
-        for signs in table.tuples_for.get((conn, sf.sign), ()):
+        for signs in tuples:
             if all(SignedFormula(s, a) not in omega for s, a in zip(signs, args)):
                 best_key, best = key, (conn, signs, args)
                 break

@@ -14,11 +14,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from .matrix import LogicalMatrix, M4, _refuting, _value_planes
+from .matrix import _CONNECTIVE, LogicalMatrix, M4, _refuting, _value_planes
 from .record import Record
 from .sequents import Sequent, render_sequent
 from .signed import NSequent, SignedRule
-from .syntax import (Formula, FormulaTemplate, Neg, PLACEHOLDER, Var,
+from .syntax import (Bot, Formula, FormulaTemplate, Neg, PLACEHOLDER, Var,
                      formula_key, substitute, variables)
 
 __all__ = [
@@ -171,15 +171,9 @@ _ARG_VARS = (Var("a"), Var("b"), Var("c"))
 
 
 def _compound(conn: str, args: Sequence[Formula]) -> Formula:
-    from .syntax import And, Box, Or
-    if conn == "or":
-        return Or(args[0], args[1])
-    if conn == "and":
-        return And(args[0], args[1])
-    if conn == "neg":
-        return Neg(args[0])
-    if conn == "box":
-        return Box(args[0])
+    for cls, name in _CONNECTIVE.items():
+        if name == conn and cls is not Bot:
+            return cls(*args)
     raise ValueError(f"unknown connective {conn!r}")
 
 

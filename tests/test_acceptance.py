@@ -31,9 +31,10 @@ from tml.gcalc import cut_necessity_probe
 from tml.matrix import (M4, bundled_m4_path, degree_consequence, load_matrix,
                         matrix_consequence)
 from tml.nd import check_nd, disjunction_of, nd_to_sc, sc_to_nd
-from tml.proofs import dumps
-from tml.sc import (check_sc_proof, contrapose, denecessitate, is_cut_free,
-                    necessitate, proof_to_json, prove, render_proof)
+from tml.proofs import CheckError, dumps, walk
+from tml.sc import (ScProof, ScRule, check_sc_proof, contrapose, denecessitate,
+                    is_cut_free, necessitate, proof_to_json, prove, render_proof,
+                    verify_sc_proof)
 from tml.sequents import Sequent, parse_sequent, render_sequent
 from tml.signed import NSequent, generate_sf_rules
 from tml.syntax import And, Box, Neg, Or, Var, variables
@@ -261,6 +262,41 @@ def test_sc_proof_fingerprint(corpus):
     assert h.hexdigest() == SC_CORPUS_FINGERPRINT, h.hexdigest()
     assert as_json.hexdigest() == SC_CORPUS_JSON_FINGERPRINT, as_json.hexdigest()
     assert as_text.hexdigest() == SC_CORPUS_TEXT_FINGERPRINT, as_text.hexdigest()
+
+
+# sha256 over the checker's verdict and message, cut allowed, on each
+# distinct node of the proofs above under every other rule; the node's
+# premises keep their checked subtrees, so only the node can fail.
+SC_RELABELLED_DIGEST = "c33607e380b4751231fca2539205bb42e8fb710dc5a967c5ac7385bdd6b25617"
+
+
+def test_sc_relabelled_nodes(corpus):
+    h = hashlib.sha256()
+    seen = set()
+    relabelled = accepted = 0
+    for _, proof in corpus["provable"]:
+        for node, _, entering in walk(proof):
+            if not entering:
+                continue
+            key = (node.rule, node.sequent, node.principal,
+                   tuple(q.sequent for q in node.premises))
+            if key in seen:
+                continue
+            seen.add(key)
+            for rule in ScRule:
+                if rule is node.rule:
+                    continue
+                try:
+                    verify_sc_proof(ScProof(rule, node.sequent, node.principal,
+                                            node.premises), allow_cut=True)
+                    verdict = "ok"
+                    accepted += 1
+                except CheckError as e:
+                    verdict = str(e)
+                relabelled += 1
+                h.update(verdict.encode() + b"\n")
+    assert (relabelled, accepted) == (954294, 0)
+    assert h.hexdigest() == SC_RELABELLED_DIGEST, h.hexdigest()
 
 
 def test_dumps_is_indented_json_dumps(corpus):

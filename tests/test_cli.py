@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,22 @@ class TestBasics:
 
 
 class TestProve:
+    def test_reader_closing_the_pipe_early(self):
+        # `tml prove --format json ... | head -c 20`: the proof's JSON runs
+        # to megabytes, so the command is still writing when the reader
+        # goes, and must exit quietly, not report the broken pipe
+        seq = ", ".join(f"x{i} & x{i}" for i in range(100)) + ", z & z => z"
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from tml.cli import main; main()",
+             "prove", "--format", "json", seq],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (0, b"")
+
     def test_sc_boxed_modal_axiom(self, capout):
         assert run(["prove", "--calculus", "sc", "=> #(p | ~#p)"]) == 0
         out = capout()
@@ -261,6 +281,16 @@ class TestGenRules:
                     "--matrix", str(bundled_m4_path())]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len([r for r in doc if r["kind"] == "logical"]) == 40
+
+    def test_matrix_with_an_unknown_connective(self, tmp_path, capsys):
+        from tml.matrix import bundled_m4_path
+        doc = json.loads(bundled_m4_path().read_text())
+        doc["connectives"]["imp"] = {"arity": 2, "table": {
+            f"{a},{b}": "1" for a in doc["values"] for b in doc["values"]}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert run(["gen-rules", "--stage", "two", "--matrix", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown connective 'imp'\n"
 
     def test_spec_file_override(self, tmp_path, capsys):
         from tml.translation import m4_spec, spec_to_json

@@ -10,9 +10,10 @@ import pytest
 from conftest import checked_nd_to_sc
 
 from tml.matrix import degree_consequence, matrix_consequence
-from tml.nd import (NDDeduction, NdCheckError, NdTranslationError, check_nd,
+from tml.nd import (ND_RULES, NDDeduction, NdCheckError, NdTranslationError, check_nd,
                     disjunction_of, hyp, nd_from_json, nd_to_json, nd_to_sc,
                     open_assumptions, render_nd, sc_to_nd, verify_nd)
+from tml.proofs import walk
 from tml.sc import check_sc_proof, prove
 from tml.sequents import Sequent, parse_sequent
 from tml.syntax import And, BOT, Box, Neg, Or, Var, parse
@@ -123,6 +124,51 @@ class TestCheck:
                            discharges=(("u", p), ("v", q)))
         res = check_nd(node)
         assert not res.ok
+
+    # (rule, premise conclusions, conclusion, discharged assumptions):
+    # an instance of each rule, then near misses that it rejects
+    INSTANCES = [
+        ("ma", [], "p | ~#p", []), ("and_i", ["p", "q"], "p & q", []),
+        ("and_e1", ["p & q"], "p", []), ("and_e2", ["p & q"], "q", []),
+        ("neg_and_i1", ["~p"], "~(p & q)", []), ("neg_and_i2", ["~q"], "~(p & q)", []),
+        ("neg_and_e", ["~(p & q)", "r", "r"], "r", ["~p", "~q"]),
+        ("or_i1", ["p"], "p | q", []), ("or_i2", ["q"], "p | q", []),
+        ("or_e", ["p | q", "r", "r"], "r", ["p", "q"]),
+        ("neg_or_i", ["~p", "~q"], "~(p | q)", []),
+        ("neg_or_e1", ["~(p | q)"], "~p", []), ("neg_or_e2", ["~(p | q)"], "~q", []),
+        ("neg_neg_i", ["p"], "~~p", []), ("neg_neg_e", ["~~p"], "p", []),
+        ("box_i_star", ["p | q", "p"], "p | #q", ["~q"]), ("box_e", ["#p"], "p", []),
+        ("neg_box_i", ["~p"], "~#p", []), ("neg_box_e", ["~#p", "p"], "~p", []),
+        ("bot_i", ["~p & #p"], "bot", []), ("bot_e", ["bot"], "p", []),
+    ]
+    NEAR_MISSES = [
+        ("ma", [], "p | ~#q", []), ("ma", [], "p | ~p", []),
+        ("and_i", ["q", "p"], "p & q", []), ("and_e1", ["p & q"], "q", []),
+        ("and_e2", ["p & q"], "p", []), ("neg_and_i1", ["~q"], "~(p & q)", []),
+        ("neg_and_i1", ["p"], "~(p & q)", []), ("neg_and_i2", ["~p"], "~(p & q)", []),
+        ("neg_and_e", ["~(p & q)", "r", "q"], "r", ["~p", "~q"]),
+        ("neg_and_e", ["~(p & q)", "r", "r"], "r", ["~q", "~p"]),
+        ("or_i1", ["q"], "p | q", []), ("or_i2", ["p"], "p | q", []),
+        ("or_e", ["p | q", "r", "r"], "r", ["q", "p"]),
+        ("or_e", ["p | q", "r", "r"], "q", ["p", "q"]),
+        ("neg_or_i", ["~q", "~p"], "~(p | q)", []), ("neg_or_e1", ["~(p | q)"], "~q", []),
+        ("neg_or_e2", ["~(p | q)"], "~p", []), ("neg_neg_i", ["q"], "~~p", []),
+        ("neg_neg_e", ["~p"], "p", []), ("box_i_star", ["p | q", "q"], "p | #q", ["~q"]),
+        ("box_i_star", ["p | q", "p"], "p | #q", ["~p"]), ("box_e", ["#p"], "q", []),
+        ("neg_box_i", ["~q"], "~#p", []), ("neg_box_e", ["~#p", "q"], "~q", []),
+        ("neg_box_e", ["~#p", "p"], "~q", []), ("bot_i", ["~p & #q"], "bot", []),
+        ("bot_i", ["~p & #p"], "p", []), ("bot_e", ["p"], "p", []),
+    ]
+
+    def test_rule_shapes(self):
+        for cases, ok in ((self.INSTANCES, True), (self.NEAR_MISSES, False)):
+            for rule, prems, conclusion, discharged in cases:
+                node = NDDeduction(
+                    rule, parse(conclusion),
+                    tuple(hyp(parse(t), f"u{i}") for i, t in enumerate(prems)),
+                    discharges=tuple((f"v{i}", parse(t)) for i, t in enumerate(discharged)))
+                want = None if ok else f"node []: conclusion/premises do not fit rule {rule!r}"
+                assert check_nd(node).error == want, (rule, prems, conclusion)
 
     def test_error_at_non_root_path(self):
         bad_leaf = NDDeduction("and_e1", q, (hyp(And(p, q), "b"),))
@@ -329,27 +375,57 @@ class TestRendering:
 ND_DEDUCTIONS_FINGERPRINT = "cbf9128edd7e21803c94e81837642ffee9b5bc1db2ebc31a714242f7acd44a17"
 
 
-def _deductions_digest(small_pool) -> str:
+def _fingerprint_deductions(small_pool) -> list[NDDeduction]:
     rng = random.Random(5)
-    h = hashlib.sha256()
-    done = 0
+    deductions = []
     for _ in range(200):
         seq = Sequent.of(rng.sample(small_pool, rng.randrange(0, 3)),
                          rng.sample(small_pool, rng.randrange(1, 3)))
         pr = prove(seq)
-        if pr is None:
-            continue
-        done += 1
-        d = sc_to_nd(pr)
+        if pr is not None:
+            deductions.append(sc_to_nd(pr))
+    assert len(deductions) > 50
+    return deductions
+
+
+def _deductions_digest(small_pool) -> str:
+    h = hashlib.sha256()
+    for d in _fingerprint_deductions(small_pool):
         h.update(json.dumps(nd_to_json(d), indent=2).encode() + b"\n")
         h.update(render_nd(d).encode() + b"\n")
-    assert done > 50
     return h.hexdigest()
 
 
 def test_nd_deduction_fingerprint(small_pool):
     got = _deductions_digest(small_pool)
     assert got == ND_DEDUCTIONS_FINGERPRINT, got
+
+
+# sha256 over check_nd's verdict and message on each node of the
+# deductions above under every other rule, its premises, marker and
+# discharges kept.
+ND_RELABELLED_DIGEST = "d88e7522eb62148faf2c404305694e1241eeb7cb3aa91a468999b0d30578fd27"
+
+
+def test_nd_relabelled_nodes(small_pool):
+    h = hashlib.sha256()
+    seen = set()
+    relabelled = accepted = 0
+    for d in _fingerprint_deductions(small_pool):
+        for node, _, entering in walk(d):
+            if not entering or id(node) in seen:
+                continue
+            seen.add(id(node))
+            for rule in ND_RULES:
+                if rule == node.rule:
+                    continue
+                got = check_nd(NDDeduction(rule, node.conclusion, node.premises,
+                                           node.marker, node.discharges))
+                relabelled += 1
+                accepted += got.ok
+                h.update(f"{got.ok} {got.error}\n".encode())
+    assert (relabelled, accepted) == (13713, 22)
+    assert h.hexdigest() == ND_RELABELLED_DIGEST, h.hexdigest()
 
 
 def test_nd_deductions_do_not_depend_on_hash_order():

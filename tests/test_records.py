@@ -110,7 +110,6 @@ INSTANCES = [
     (lambda: nd.NdResult(False, p, frozenset(), "bad"), ("ok", "conclusion", "open", "error")),
     (lambda: sc.ScProof(sc.ScRule.AXIOM, sequents.Sequent.of([p], [p]), (p,)),
      ("rule", "sequent", "principal", "premises")),
-    (lambda: sc._Schema("L", sc._or_parts, len), ("side", "parts", "deltas")),
     (lambda: sequents.Sequent.of([p], [q]), ("left", "right")),
     (lambda: signed.NSequent.of([p], [], [], [q]), ("components",)),
     (lambda: signed.SignedRule("axiom", "axiom"),

@@ -280,7 +280,7 @@ class TestRuleNecessity:
         try:
             for dropped in [r for r in ScRule if r not in structural]:
                 def mutated(side, f, _d=dropped):
-                    return tuple(r for r in orig(side, f) if r is not _d)
+                    return tuple(r for r in orig(side, f) if r[0] is not _d)
                 sc_mod._rules_for = mutated
                 found = None
                 for seq in witness_stream():
