@@ -3,7 +3,7 @@
 An algebra here is a finite carrier with meet, join, an involutive
 negation, a necessity operator and a bottom constant.  The laws are
 formula texts that ``check_tma_laws`` evaluates under every assignment
-at once with ``matrix._value_planes``; ``algebra_evaluate`` is the
+at once with ``matrix.Planes``; ``algebra_evaluate`` is the
 pointwise evaluator the tests compare the kernel with.
 """
 
@@ -14,9 +14,9 @@ from functools import cache, cached_property, reduce
 from operator import or_, xor
 from typing import Hashable, Mapping, Optional
 
-from .matrix import M4, LogicalMatrix, _first_valuation, _value_planes
+from .matrix import M4, LogicalMatrix, Planes
 from .record import Record
-from .syntax import And, Bot, Box, Formula, Neg, Or, Var, parse, variables
+from .syntax import And, Bot, Formula, Neg, Or, Var, parse, variables_of
 
 __all__ = [
     "Algebra", "LawCheck", "TmaLawReport", "m4_algebra", "product_algebra",
@@ -211,12 +211,11 @@ def check_tma_laws(alg: Algebra) -> TmaLawReport:
     assignment in ``itertools.product`` order."""
     checks = []
     for name, equations in _parsed_laws():
-        formulas = [f for sides in equations for f in sides]
-        names = sorted(set().union(*map(variables, formulas)))
-        planes = dict(zip(formulas, _value_planes(formulas, names, alg.carrier, alg.tables())))
+        names = variables_of(f for sides in equations for f in sides)
+        planes = Planes(names, alg.carrier, alg.tables())
         *premises, fails = [reduce(or_, map(xor, planes[x], planes[y])) for x, y in equations]
         for mask in premises:
             fails &= ~mask
-        witness = tuple(_first_valuation(fails, names, alg.carrier).values()) if fails else None
+        witness = tuple(planes.first(fails).values()) if fails else None
         checks.append(LawCheck(name, not fails, witness))
     return TmaLawReport(tuple(checks))

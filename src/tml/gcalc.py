@@ -26,14 +26,12 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .matrix import (M4, MissingVariableError, _first_valuation, _refuting,
-                     _sequent_vars, _value_planes, matrix_consequence,
-                     render_valuation)
+from .matrix import M4, MissingVariableError, Planes, matrix_consequence, render_valuation
 from .proofs import CheckError, from_json, passes, render, shared, to_json, walk
 from .record import Record
 from .sc import is_cut_free, prove
 from .sequents import Sequent, sequent_satisfied, side_texts
-from .syntax import And, BOT, Box, Formula, Neg, Or, formula_key, parse
+from .syntax import And, BOT, Box, Formula, Neg, Or, formula_key, parse, variables_of
 
 __all__ = [
     "GRule", "GSequent", "GProof", "GCheckError", "check_g_proof",
@@ -287,37 +285,32 @@ class _Refuter:
     does.  An index, not the mask of all refuting valuations: a search
     keeps one per sequent it tests, and a mask takes 4**k bits.  Every
     sequent of a search is built from the goal's subformulas, their
-    negations and ``a & ~a``, so it has no other variables.  Each
-    formula's planes are computed once, on first use, extending those of
-    the formulas before it.  A goal with more than ``_PRUNE_MAX_VARS``
-    variables gets -1, no refuting valuation, for every sequent, and no
-    plane is built for it."""
+    negations and ``a & ~a``, so it has no other variables, and one
+    ``Planes`` serves them all.  A goal with more than
+    ``_PRUNE_MAX_VARS`` variables gets -1, no refuting valuation, for
+    every sequent, and ``planes`` is None: no plane is built for it."""
 
     def __init__(self, goal: GSequent):
-        self.names = sorted(_sequent_vars(goal.left, [goal.right]))
-        self.prunes = len(self.names) <= _PRUNE_MAX_VARS
-        if self.prunes:
-            self.full = (1 << len(M4.values) ** len(self.names)) - 1
-            self.tables = M4.tables()
-            self.planes: dict[Formula, tuple[int, ...]] = {}
+        names = variables_of([*goal.left, goal.right])
+        self.planes = (Planes(names, M4.values, M4.tables())
+                       if len(names) <= _PRUNE_MAX_VARS else None)
 
     def __call__(self, seq: GSequent) -> int:
-        if not self.prunes:
+        if self.planes is None:
             return -1
-        *gamma, phi = _value_planes([*seq.left, seq.right], self.names, M4.values,
-                                    self.tables, self.planes)
-        mask = _refuting(gamma, [phi], M4, self.full)
+        mask = self.planes.refuting(seq.left, [seq.right], M4)
         return (mask & -mask).bit_length() - 1
 
 
 def _bounded_search(s: GSequent, depth: int, stats: GSearchStats,
                     ) -> tuple[Optional[GProof], dict[GSequent, int],
-                               dict[GSequent, int], list[str]]:
+                               dict[GSequent, int], Optional[Planes]]:
     """The first cut-free proof of s of height at most depth, in the
     order of ``_backward_steps``, or None; with the memo of failures
     (the largest budget each sequent failed at), the memo of first
     refuting valuations (their indices, -1 where none refutes or none
-    was looked for) and the variables the valuations range over.
+    was looked for) and the planes they index, None where none was
+    looked for.
 
     Depth-first on an explicit stack, one frame per open sequent.  A
     sequent is tested, in order, for the budget (where ``bound_hit`` is
@@ -384,7 +377,7 @@ def _bounded_search(s: GSequent, depth: int, stats: GSearchStats,
             stats.pruned += pruned
             stats.validity_memo_hits += validity_hits
             stats.bound_hit = stats.bound_hit or bound_hit
-            return result, failed_at, refuting, refute.names
+            return result, failed_at, refuting, refute.planes
 
 
 def g_search_cutfree(s: GSequent, depth: int,
@@ -450,12 +443,11 @@ def _search_certified(goal: GSequent, depth: int,
     """The bounded search; for a miss where the bound cut no branch off,
     its certificate, checked; and what the search did."""
     stats = GSearchStats()
-    proof, failed_at, refuting, names = _bounded_search(goal, depth, stats)
+    proof, failed_at, refuting, planes = _bounded_search(goal, depth, stats)
     if proof is not None or stats.bound_hit:
         return proof, None, stats
     cert = GUnprovable(frozenset(failed_at), {
-        seq: _first_valuation(1 << j, names, M4.values)
-        for seq, j in refuting.items() if j >= 0})
+        seq: planes.first(1 << j) for seq, j in refuting.items() if j >= 0})
     # one that does not check is a fault of the search: raise rather
     # than report the miss either way
     verify_g_unprovable(goal, cert)

@@ -13,7 +13,7 @@ import itertools
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .record import Record
-from .syntax import And, Bot, Box, Formula, Neg, Or, Var, variables
+from .syntax import And, Bot, Box, Formula, Neg, Or, Var, variables_of
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -22,7 +22,7 @@ __all__ = [
     "TruthValue", "Valuation", "Operation", "LogicalMatrix", "M4",
     "MissingVariableError", "UnknownConnectiveError",
     "evaluate", "satisfies", "valuations", "matrix_consequence",
-    "degree_consequence", "countermodel", "parse_valuation",
+    "degree_consequence", "countermodel", "Planes", "parse_valuation",
     "render_valuation", "matrix_to_json", "matrix_from_json", "load_matrix",
     "bundled_m4_path",
 ]
@@ -105,7 +105,7 @@ class LogicalMatrix(Record):
 
     def tables(self) -> dict[str, tuple[int, ...]]:
         """The connectives of the syntax as flat index tables for
-        ``_value_planes`` (entry ``a*n + b`` for arguments a, b), built
+        ``Planes`` (entry ``a*n + b`` for arguments a, b), built
         on first use."""
         hit = _TABLES.get(id(self))
         if hit is None:
@@ -248,13 +248,6 @@ def valuations(vars: Iterable[str], m: LogicalMatrix = M4) -> list[dict[str, Tru
     return out
 
 
-def _sequent_vars(gamma: Iterable[Formula], delta: Iterable[Formula]) -> set[str]:
-    vs: set[str] = set()
-    for f in itertools.chain(gamma, delta):
-        vs |= variables(f)
-    return vs
-
-
 # ---------------------------------------------------------------------------
 # Value planes: a formula under every valuation at once.
 #
@@ -291,23 +284,30 @@ def _constant(i: int, n: int, full: int) -> list[int]:
     return out
 
 
-def _value_planes(formulas: Sequence[Formula], names: Sequence[str],
-                  values: Sequence, tables: Mapping[str, Sequence[int]],
-                  planes: Optional[dict[Formula, tuple[int, ...]]] = None,
-                  ) -> list[tuple[int, ...]]:
-    """The value planes of each formula over all valuations of ``names``
+def _union(x: Sequence[int], indices: Iterable[int]) -> int:
+    out = 0
+    for i in indices:
+        out |= x[i]
+    return out
+
+
+class Planes(dict):
+    """The value planes of formulas over all valuations of ``names``
     (sorted) into ``values``, under index tables as built by
-    ``LogicalMatrix.tables``.  Iterative post-order over the interned
-    formula DAG, each node once per call.  ``planes``, when given, is
-    extended in place and may hold the planes of earlier calls over the
-    same names, values and tables: a formula then costs only the nodes
-    not already in it."""
-    n, k = len(values), len(names)
-    size = n ** k
-    full = (1 << size) - 1
-    if planes is None:
-        planes = {}
-    if not planes:
+    ``LogicalMatrix.tables``: ``planes[f]`` is computed on first use, by
+    an iterative post-order over the interned formula DAG that stops at
+    the formulas already held.  ``full`` is the mask of all valuations;
+    the queries answer with masks of valuations."""
+
+    # the values are ``carrier``: ``values`` would hide ``dict.values``
+    __slots__ = ("names", "carrier", "tables", "full")
+
+    def __init__(self, names: Sequence[str], values: Sequence,
+                 tables: Mapping[str, Sequence[int]]) -> None:
+        self.names, self.carrier, self.tables = names, values, tables
+        n, k = len(values), len(names)
+        size = n ** k
+        self.full = full = (1 << size) - 1
         for i, name in enumerate(names):
             # digit i of j counts runs of `step` bits, n runs to a period:
             # value 0 on the first run of each period, value a a runs later.
@@ -318,12 +318,14 @@ def _value_planes(formulas: Sequence[Formula], names: Sequence[str],
                 low |= low << width
                 width *= 2
             low &= full
-            planes[Var(name)] = tuple([low << a * step for a in range(n)])
-    for root in formulas:
+            self[Var(name)] = tuple([low << a * step for a in range(n)])
+
+    def __missing__(self, root: Formula) -> tuple[int, ...]:
+        n, tables = len(self.carrier), self.tables
         stack = [root]
         while stack:
             f = stack[-1]
-            if f in planes:
+            if f in self:
                 stack.pop()
                 continue
             t = type(f)
@@ -334,15 +336,15 @@ def _value_planes(formulas: Sequence[Formula], names: Sequence[str],
             if table is None:
                 raise UnknownConnectiveError(name)
             if t is Bot:
-                out = _constant(table[0], n, full)
+                out = _constant(table[0], n, self.full)
             elif t is Neg or t is Box:
-                x = planes.get(f.child)
+                x = self.get(f.child)
                 if x is None:
                     stack.append(f.child)
                     continue
                 out = _apply1(table, x)
             else:
-                x, y = planes.get(f.left), planes.get(f.right)
+                x, y = self.get(f.left), self.get(f.right)
                 if x is None or y is None:
                     if y is None:
                         stack.append(f.right)
@@ -351,47 +353,46 @@ def _value_planes(formulas: Sequence[Formula], names: Sequence[str],
                     continue
                 out = _apply2(table, x, y)
             stack.pop()
-            planes[f] = tuple(out)
-    return [planes[f] for f in formulas]
+            self[f] = tuple(out)
+        return self[root]
 
+    def first(self, mask: int) -> dict:
+        """The valuation of the lowest set bit of a non-empty mask, its
+        keys in the order of ``names``."""
+        j = (mask & -mask).bit_length() - 1
+        digits = []
+        for _ in self.names:
+            j, d = divmod(j, len(self.carrier))
+            digits.append(self.carrier[d])
+        return dict(zip(self.names, reversed(digits)))
 
-def _first_valuation(mask: int, names: Sequence[str], values: Sequence) -> dict:
-    """The valuation of the lowest set bit of a non-empty mask, its keys
-    in the order of ``names``."""
-    j = (mask & -mask).bit_length() - 1
-    digits = []
-    for _ in names:
-        j, d = divmod(j, len(values))
-        digits.append(values[d])
-    return dict(zip(names, reversed(digits)))
+    def refuting(self, gamma: Iterable[Formula], delta: Iterable[Formula],
+                 m: LogicalMatrix) -> int:
+        """The valuations that designate every formula of gamma and none
+        of delta."""
+        designated = [i for i, v in enumerate(self.carrier) if v in m.designated]
+        mask = self.full
+        for f in gamma:
+            mask &= _union(self[f], designated)
+        for f in delta:
+            mask &= ~_union(self[f], designated)
+        return mask
 
-
-def _refuting(gamma: Sequence[Sequence[int]], delta: Sequence[Sequence[int]],
-              m: LogicalMatrix, full: int) -> int:
-    """The valuations that designate every formula of gamma and none of
-    delta, from their value planes."""
-    designated = [i for i, v in enumerate(m.values) if v in m.designated]
-    mask = full
-    for x in gamma:
-        mask &= _union(x, designated)
-    for x in delta:
-        mask &= ~_union(x, designated)
-    return mask
-
-
-def _union(x: Sequence[int], indices: Iterable[int]) -> int:
-    out = 0
-    for i in indices:
-        out |= x[i]
-    return out
-
-
-def _leq_mask(x: Sequence[int], y: Sequence[int], leq: Iterable[tuple[int, int]]) -> int:
-    """The valuations where x is below y, for the index pairs of an order."""
-    out = 0
-    for a, b in leq:
-        out |= x[a] & y[b]
-    return out
+    def below(self, left: Iterable[Formula], right: Sequence[Formula], top: int,
+              leq: Iterable[tuple[int, int]]) -> int:
+        """The valuations where the meet of ``left``, starting from the
+        value of index ``top``, is below the join of the non-empty
+        ``right``, for the index pairs ``leq`` of an order."""
+        lo = _constant(top, len(self.carrier), self.full)
+        for f in left:
+            lo = _apply2(self.tables["and"], lo, self[f])
+        hi = self[right[0]]
+        for f in right[1:]:
+            hi = _apply2(self.tables["or"], hi, self[f])
+        out = 0
+        for a, b in leq:
+            out |= lo[a] & hi[b]
+        return out
 
 
 def matrix_consequence(gamma: Iterable[Formula], delta: Iterable[Formula],
@@ -405,13 +406,9 @@ def countermodel(gamma: Iterable[Formula], delta: Iterable[Formula],
                  m: LogicalMatrix = M4) -> Optional[dict[str, TruthValue]]:
     """First refuting valuation in enumeration order, or None."""
     gamma, delta = list(gamma), list(delta)
-    names = sorted(_sequent_vars(gamma, delta))
-    planes = _value_planes(gamma + delta, names, m.values, m.tables())
-    full = (1 << len(m.values) ** len(names)) - 1
-    mask = _refuting(planes[:len(gamma)], planes[len(gamma):], m, full)
-    if not mask:
-        return None
-    return _first_valuation(mask, names, m.values)
+    planes = Planes(variables_of(gamma + delta), m.values, m.tables())
+    mask = planes.refuting(gamma, delta, m)
+    return planes.first(mask) if mask else None
 
 
 def degree_consequence(gamma: Iterable[Formula], phi: Formula,
@@ -419,19 +416,13 @@ def degree_consequence(gamma: Iterable[Formula], phi: Formula,
     """Degree-preserving consequence: under every valuation the meet of
     the premise values is below the conclusion value.  Empty premises
     require the conclusion to take the top value everywhere."""
-    gamma, tables = list(gamma), m.tables()
-    if "and" not in tables:
+    gamma = list(gamma)
+    planes = Planes(variables_of(gamma + [phi]), m.values, m.tables())
+    if "and" not in planes.tables:
         raise UnknownConnectiveError("and")
     top = m.index(m.top())
-    names = sorted(_sequent_vars(gamma, [phi]))
-    *premises, conclusion = _value_planes(gamma + [phi], names, m.values, tables)
-    n = len(m.values)
-    full = (1 << n ** len(names)) - 1
-    bound = _constant(top, n, full)
-    for x in premises:
-        bound = _apply2(tables["and"], bound, x)
     leq = [(m.index(a), m.index(b)) for a, b in m.order]
-    return _leq_mask(bound, conclusion, leq) == full
+    return planes.below(gamma, [phi], top, leq) == planes.full
 
 
 # ---------------------------------------------------------------------------

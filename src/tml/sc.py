@@ -18,13 +18,12 @@ from enum import Enum
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from .matrix import (_apply2, _constant, _first_valuation, _leq_mask,
-                     _value_planes)
+from .matrix import Planes
 from .proofs import CheckError, fold, from_json, passes, render, shared, to_json, walk
 from .record import Record
 from .search import Step, decide
 from .sequents import Sequent, render_sequent, side_texts
-from .syntax import And, Box, Formula, Neg, Or, Var, formula_key, parse
+from .syntax import And, Box, Formula, Neg, Or, Var, formula_key, parse, variables_of
 
 if TYPE_CHECKING:
     from .algebra import Algebra
@@ -511,15 +510,6 @@ _SOUNDNESS_SCHEMA: dict[ScRule, tuple[list[tuple[list, list]], tuple[list, list]
 }
 
 
-def _schema_vars(premises, conclusion) -> list[str]:
-    from .syntax import variables
-    names: set[str] = set()
-    for left, right in itertools.chain(premises, [conclusion]):
-        for f in itertools.chain(left, right):
-            names |= variables(f)
-    return sorted(names)
-
-
 @cache
 def _default_algebras() -> tuple[Algebra, Algebra]:
     from .algebra import m4_algebra, product_algebra
@@ -533,32 +523,19 @@ def schema_counterexample(premises: list[tuple[list, list]],
                           ) -> Optional[dict]:
     """The first assignment, algebra by algebra in enumeration order,
     where every premise inequality meet(left) <= join(right) holds but
-    the conclusion's fails; all assignments of an algebra at once."""
+    the conclusion's fails; all assignments of an algebra at once.
+    Every right side is non-empty."""
     if algebras is None:
         algebras = _default_algebras()
-    names = _schema_vars(premises, conclusion)
-    formulas = [f for left, right in [*premises, conclusion]
-                for f in itertools.chain(left, right)]
+    names = variables_of(f for left, right in [*premises, conclusion]
+                         for f in itertools.chain(left, right))
     for alg in algebras:
-        tables, n = alg.tables(), len(alg.carrier)
-        full = (1 << n ** len(names)) - 1
-        planes = dict(zip(formulas, _value_planes(formulas, names, alg.carrier, tables)))
-        one, zero = alg.carrier.index(alg.one), tables["bot"][0]
-
-        def holds(left: list, right: list) -> int:
-            lo = _constant(one, n, full)
-            for f in left:
-                lo = _apply2(tables["and"], lo, planes[f])
-            hi = _constant(zero, n, full)
-            for f in right:
-                hi = _apply2(tables["or"], hi, planes[f])
-            return _leq_mask(lo, hi, alg.leq_pairs)
-
-        mask = full & ~holds(*conclusion)
+        planes, one = Planes(names, alg.carrier, alg.tables()), alg.carrier.index(alg.one)
+        mask = planes.full & ~planes.below(*conclusion, one, alg.leq_pairs)
         for left, right in premises:
-            mask &= holds(left, right)
+            mask &= planes.below(left, right, one, alg.leq_pairs)
         if mask:
-            return _first_valuation(mask, names, alg.carrier)
+            return planes.first(mask)
     return None
 
 

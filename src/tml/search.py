@@ -18,8 +18,6 @@ __all__ = ["Step", "decide"]
 # the premises of one rule application, and the builder of its proof
 Step = tuple[Sequence[Hashable], Callable[[tuple], Any]]
 
-_MISS = object()
-
 
 def decide(goal: Hashable, expand: Callable[[Any], Optional[Step]]) -> Any:
     """Apply one rule per sequent, from goal upwards.
@@ -27,8 +25,9 @@ def decide(goal: Hashable, expand: Callable[[Any], Optional[Step]]) -> Any:
     ``expand(seq)`` returns None when no rule applies to seq, which is
     then unprovable, or the premises of the one rule to apply together
     with a function that builds the proof of seq from the proofs of
-    those premises (an axiom has no premises).  The first failed premise
-    fails the sequent; no other rule is tried.  Premises must strictly
+    those premises (an axiom has no premises).  No other rule is tried,
+    so an unprovable sequent fails every sequent below it, down to the
+    goal: the walk returns None at the first.  Premises must strictly
     extend their conclusion, so the walk never meets a sequent that is
     still open below it.  The walk is iterative, and a memo shares the
     proofs of sequents met more than once.
@@ -41,19 +40,12 @@ def decide(goal: Hashable, expand: Callable[[Any], Optional[Step]]) -> Any:
         if step is None:
             step = expand(seq)
             if step is None:
-                memo[seq] = None
-                stack.pop()
-                continue
+                return None
             stack[-1] = (seq, step)
         prems, build = step
         for prem in prems:
-            sub = memo.get(prem, _MISS)
-            if sub is _MISS:
+            if prem not in memo:
                 stack.append((prem, None))
-                break
-            if sub is None:
-                memo[seq] = None
-                stack.pop()
                 break
         else:
             memo[seq] = build(tuple(memo[prem] for prem in prems))

@@ -19,7 +19,7 @@ from .record import Record
 __all__ = [
     "Formula", "Var", "Bot", "Neg", "Box", "And", "Or", "BOT",
     "FormulaTemplate", "SyntaxError_", "parse", "render", "substitute",
-    "closure", "subformulas", "variables", "formula_key", "PLACEHOLDER",
+    "closure", "subformulas", "variables", "variables_of", "formula_key", "PLACEHOLDER",
 ]
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
@@ -176,6 +176,11 @@ def variables(f: Formula) -> frozenset[str]:
             stack.append(g.left)
             stack.append(g.right)
     return frozenset(out)
+
+
+def variables_of(formulas: Iterable[Formula]) -> list[str]:
+    """The variables of the formulas, sorted."""
+    return sorted(set().union(*map(variables, formulas)))
 
 
 def subformulas(f: Formula) -> set[Formula]:

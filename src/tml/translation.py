@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from .matrix import _CONNECTIVE, LogicalMatrix, M4, _refuting, _value_planes
+from .matrix import _CONNECTIVE, LogicalMatrix, M4, Planes
 from .record import Record
 from .sequents import Sequent, render_sequent
 from .signed import NSequent, SignedRule
 from .syntax import (Bot, Formula, FormulaTemplate, Neg, PLACEHOLDER, Var,
-                     formula_key, substitute, variables)
+                     formula_key, substitute, variables_of)
 
 __all__ = [
     "ValueTemplates", "ExpressivenessSpec", "Partition", "m4_spec",
@@ -60,13 +60,12 @@ class ExpressivenessSpec(Record):
         """Exhaustively: a formula takes value t iff all n_side instances
         are non-designated and all d_side instances designated.  The
         templates over p suffice, bit i of their planes being p = value i."""
-        tables, full = m.tables(), (1 << len(m.values)) - 1
+        planes = Planes([PLACEHOLDER.name], m.values, m.tables())
         for i, value in enumerate(m.values):
             vt = self.per_value[value]
             d_side = [t.body for t in vt.d_side]
             n_side = [t.body for t in vt.n_side]
-            planes = _value_planes(d_side + n_side, [PLACEHOLDER.name], m.values, tables)
-            if _refuting(planes[:len(d_side)], planes[len(d_side):], m, full) != 1 << i:
+            if planes.refuting(d_side, n_side, m) != 1 << i:
                 return False
         return True
 
@@ -144,23 +143,16 @@ def verify_two_equivalence(s: NSequent, spec: ExpressivenessSpec,
     translated sequent; checked over all valuations of its variables at
     once."""
     twos = two_of_nsequent(s, spec, m)
-    vars_: set[str] = set()
-    for comp in s.components:
-        for f in comp:
-            vars_ |= variables(f)
-    names = sorted(vars_)
-    formulas = [f for comp in s.components for f in comp]
-    formulas += [f for t in twos for f in itertools.chain(t.left, t.right)]
-    planes = dict(zip(formulas, _value_planes(formulas, names, m.values, m.tables())))
-    full = (1 << len(m.values) ** len(names)) - 1
+    names = variables_of(f for comp in s.components for f in comp)
+    planes = Planes(names, m.values, m.tables())
     # an n-sequent holds where some formula of component i takes value i
     lhs = 0
     for i, comp in enumerate(s.components):
         for f in comp:
             lhs |= planes[f][i]
-    rhs = full
+    rhs = planes.full
     for t in twos:
-        rhs &= ~_refuting([planes[f] for f in t.left], [planes[f] for f in t.right], m, full)
+        rhs &= ~planes.refuting(t.left, t.right, m)
     return lhs == rhs
 
 

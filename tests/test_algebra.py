@@ -7,7 +7,7 @@ import pytest
 
 from tml.algebra import (Algebra, algebra_evaluate, check_tma_laws, m4_algebra,
                          product_algebra)
-from tml.matrix import _value_planes, evaluate
+from tml.matrix import Planes, evaluate
 from tml.syntax import And, Var, parse
 
 
@@ -157,8 +157,9 @@ def test_algebra_evaluate_matches_the_kernel_on_mutants(m4):
     formulas = [parse(t) for t in ("p & q", "q | ~#p", "#(p & ~q) | q & p",
                                    "~(q & bot) & (p | #q)")]
     for alg in _single_entry_mutants(m4):
-        planes = _value_planes(formulas, ["p", "q"], alg.carrier, alg.tables())
-        for f, x in zip(formulas, planes):
+        planes = Planes(["p", "q"], alg.carrier, alg.tables())
+        for f in formulas:
+            x = planes[f]
             for j, (a, b) in enumerate(itertools.product(alg.carrier, repeat=2)):
                 got = algebra_evaluate(f, {"p": a, "q": b}, alg)
                 assert x[alg.carrier.index(got)] >> j & 1, (f, a, b)

@@ -134,3 +134,15 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
+
+
+def test_only_matrix_knows_the_plane_format():
+    # the value-plane kernel is tml.matrix.Planes; its helpers stay
+    # private to the module, and only the connective names are shared
+    for path in sorted((SRC / "tml").glob("*.py")):
+        if path.name == "matrix.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("matrix", "tml.matrix"):
+                private = {alias.name for alias in node.names if alias.name.startswith("_")}
+                assert private <= {"_CONNECTIVE"}, f"{path.name}:{node.lineno}"

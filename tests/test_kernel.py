@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tml.algebra import m4_algebra, product_algebra
-from tml.matrix import (M4, UnknownConnectiveError, _value_planes,
-                        countermodel, degree_consequence, evaluate,
-                        matrix_consequence, matrix_from_json, matrix_to_json,
-                        satisfies, valuations)
+from tml.matrix import (M4, Planes, UnknownConnectiveError, countermodel,
+                        degree_consequence, evaluate, matrix_consequence,
+                        matrix_from_json, matrix_to_json, satisfies, valuations)
 from tml.sc import schema_counterexample
 from tml.sequents import Sequent, sequent_satisfied
 from tml.signed import NSequent
@@ -244,15 +243,19 @@ def _degree_pointwise(gamma, phi, m):
 
 @MATRICES
 @settings(max_examples=150, deadline=None)
-@given(_queries())
-def test_planes_are_pointwise_values(m, query):
+@given(_queries(), st.randoms(use_true_random=False))
+def test_planes_are_pointwise_values(m, query, rng):
+    # one Planes answers every formula of the query, read in any order,
+    # as the G search reads the sequents it tests
     gamma, delta, phi = query
     fs = gamma + delta + [phi]
+    rng.shuffle(fs)
     names = sorted(_names(fs))
     vs = valuations(names, m)
-    for f, planes in zip(fs, _value_planes(fs, names, m.values, m.tables())):
+    planes = Planes(names, m.values, m.tables())
+    for f in fs:
         for j, v in enumerate(vs):
-            assert [x >> j & 1 for x in planes] == \
+            assert [x >> j & 1 for x in planes[f]] == \
                 [int(evaluate(f, v, m) == w) for w in m.values]
 
 
@@ -264,8 +267,8 @@ def test_variable_planes_closed_form(m):
     for k in range(9):
         names = [f"x{i}" for i in range(k)]
         size = n ** k
-        got = _value_planes([Var(x) for x in names], names, m.values, m.tables())
-        for i, planes in enumerate(got):
+        got = Planes(names, m.values, m.tables())
+        for i, planes in enumerate(got[Var(x)] for x in names):
             step = n ** (k - 1 - i)
             repunit = ((1 << size) - 1) // ((1 << step * n) - 1)
             assert planes == tuple((((1 << step) - 1) << a * step) * repunit
