@@ -25,6 +25,22 @@ class _CliError(Exception):
     pass
 
 
+def _self_check(what: str, verify, result, *args, **kwargs):
+    """Check what a command computed before printing it, and return what
+    the checker returns.  A failure is the program's fault, so it exits
+    2, never 0 or 1."""
+    from .proofs import CheckError
+    try:
+        return verify(result, *args, **kwargs)
+    except CheckError as e:
+        raise _CliError(f"internal error: {what} fails its check: {e}") from None
+
+
+def _self_expect(what: str, holds: bool) -> None:
+    if not holds:
+        raise _CliError(f"internal error: {what}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tml",
                                  description="four-valued modal logic toolkit")
@@ -132,7 +148,7 @@ def _cmd_consequence(args) -> int:
 
 def _cmd_countermodel(args) -> int:
     from .matrix import M4, countermodel, render_valuation
-    from .sequents import parse_sequent
+    from .sequents import parse_sequent, sequent_satisfied
     if len(args.sequent) == 1:
         seq = parse_sequent(args.sequent[0])
     elif len(args.sequent) == 2:
@@ -144,7 +160,10 @@ def _cmd_countermodel(args) -> int:
     if v is None:
         print("none")
         return EXIT_YES
-    print(render_valuation(v))
+    text = render_valuation(v)
+    _self_expect(f"the valuation {text} does not refute the sequent",
+                 not sequent_satisfied(v, seq, M4))
+    print(text)
     return EXIT_NO
 
 
@@ -189,6 +208,8 @@ def _cmd_prove(args) -> int:
         if proof is None:
             print("not provable")
             return EXIT_NO
+        _self_check("the proof", sc.verify_sc_proof, proof)
+        _self_expect("the proof is not of the sequent", proof.sequent == seq)
         return _print_proof(proof, args.format)
     if args.calculus == "g":
         from . import gcalc
@@ -196,12 +217,15 @@ def _cmd_prove(args) -> int:
             raise _CliError("the G calculus is single-conclusion")
         (phi,) = seq.right
         stats = gcalc.GSearchStats()
-        proof = gcalc.g_search_cutfree(gcalc.GSequent(seq.left, phi), args.depth, stats)
+        goal = gcalc.GSequent(seq.left, phi)
+        proof = gcalc.g_search_cutfree(goal, args.depth, stats)
         if args.stats:
             print(f"stats: {stats}", file=sys.stderr)
         if proof is None:
             print(f"no cut-free proof within height {args.depth}")
             return EXIT_NO
+        _self_check("the proof", gcalc.verify_g_proof, proof)
+        _self_expect("the proof is not of the sequent", proof.sequent == goal)
         return _print_proof(proof, args.format)
     # sf4: embed the two-sided sequent as a 4-sequent goal
     from . import signed
@@ -211,6 +235,8 @@ def _cmd_prove(args) -> int:
     if derivation is None:
         print("not provable")
         return EXIT_NO
+    _self_check("the derivation", signed.verify_sf_derivation, derivation, M4)
+    _self_expect("the derivation is not of the sequent", derivation.signed == goal)
     return _print_proof(derivation, args.format)
 
 
@@ -242,17 +268,39 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    """Check the file read, transform it, and check what is printed: the
+    transforms themselves check neither."""
     from . import nd, sc
     from .proofs import dump_chunks
+    from .sequents import Sequent
+    from .syntax import Box, Neg
     doc = _load_json(args.file)
-    if args.mode == "contrapose":
-        out = sc.contrapose(sc.proof_from_json(doc))
-    elif args.mode == "necessitate":
-        out = sc.necessitate(sc.proof_from_json(doc))
-    elif args.mode == "sc2nd":
-        out = nd.sc_to_nd(sc.proof_from_json(doc))
+    if args.mode == "nd2sc":
+        ded = nd.nd_from_json(doc)
+        goal = Sequent(nd.verify_nd(ded), frozenset({ded.conclusion}))
+        out = nd.nd_to_sc(ded)
     else:
-        out = nd.nd_to_sc(nd.nd_from_json(doc))
+        proof = sc.proof_from_json(doc)
+        left, right = proof.sequent.left, proof.sequent.right
+        if args.mode == "necessitate":   # a wrong sequent is reported before a bad node
+            goal = Sequent(frozenset(), frozenset({Box(sc.theorem_of(proof))}))
+        sc.verify_sc_proof(proof)
+        if args.mode == "contrapose":
+            out = sc.contrapose(proof)
+            goal = Sequent(frozenset(map(Neg, right)), frozenset(map(Neg, left)))
+        elif args.mode == "necessitate":
+            out = sc.necessitate(proof)
+        else:
+            out = nd.sc_to_nd(proof)
+    if args.mode == "sc2nd":
+        opens = _self_check("the deduction", nd.verify_nd, out)
+        _self_expect("the deduction does not conclude the disjunction of the right side "
+                     "from the left", out.conclusion is nd.disjunction_of(right)
+                     and opens <= left)
+    else:
+        _self_check("the proof", sc.verify_sc_proof, out, allow_cut=True)
+        _self_expect("the proof is not of the sequent the transform promises",
+                     out.sequent == goal)
     _print_chunks(dump_chunks(out))
     return EXIT_YES
 

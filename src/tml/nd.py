@@ -387,6 +387,8 @@ class _ToNd:
             return [], ()
         if rule in (ScRule.WEAK_L, ScRule.WEAK_R):
             return [_NOTHING], ()
+        if rule is ScRule.CUT:
+            raise sc._CutMet
         (pi,) = node.principal
         target = self.targets[-1]
         if rule is ScRule.BOX_L2:   # ~a closes with the falsum ~a & #a
@@ -481,25 +483,30 @@ class _ToNd:
 
 def sc_to_nd(p: ScProof) -> NDDeduction:
     """Translate a cut-free sequent proof of G => D into a deduction of
-    the canonical disjunction of D whose open assumptions lie in G."""
-    sc.verify_sc_proof(p, allow_cut=False)
-    return _ToNd(p.sequent).translate(p)
+    the canonical disjunction of D whose open assumptions lie in G.
+    p must pass ``sc.verify_sc_proof``; it is not checked again here,
+    but a cut in it raises CheckError as the checker would."""
+    try:
+        return _ToNd(p.sequent).translate(p)
+    except sc._CutMet:
+        raise sc._cut_error(p) from None
 
 
 # ---------------------------------------------------------------------------
 # Deduction -> sequent proof (may use cut).
 
-def _axiom(f: Formula) -> ScProof:
-    return sc.axiom([f], [f])
+def _axiom(f: Formula, left: Iterable[Formula] = (), right: Iterable[Formula] = ()) -> ScProof:
+    """The axiom f => f, with the formulas left and right added."""
+    return ScProof(ScRule.AXIOM, Sequent.of([f, *left], [f, *right]), (f,))
 
 
 def _lemma_box_vs_plain(phi: Formula) -> ScProof:
     """Proof of phi & ~#phi => phi & ~phi."""
     conj_box = And(phi, Neg(Box(phi)))
     conj_plain = And(phi, Neg(phi))
-    left = sc.weaken(_axiom(phi), [phi, Neg(Box(phi))], [phi])
-    r1 = sc.weaken(_axiom(phi), [phi], [Neg(phi), phi])
-    r2 = sc.weaken(_axiom(Neg(phi)), [phi, Neg(phi)], [Neg(phi)])
+    left = _axiom(phi, [Neg(Box(phi))])
+    r1 = _axiom(phi, (), [Neg(phi)])
+    r2 = _axiom(Neg(phi), [phi])
     neg_branch = ScProof(ScRule.NEG_BOX_L, Sequent.of([phi, Neg(Box(phi))], [Neg(phi)]),
                          (Neg(Box(phi)),), (r1, r2))
     both = ScProof(ScRule.AND_R, Sequent.of([phi, Neg(Box(phi))], [conj_plain]),
@@ -517,7 +524,7 @@ class _ToSc:
     wherever the deduction allows:
 
     - an introduction, its right rule over the proofs of its premises,
-      each weakened by the formulas the rule adds;
+      each widened by the formulas the rule adds (``sc._widen``);
     - a one-premise elimination whose major premise is a hypothesis,
       its left rule over an axiom;
     - a case split (|E, ~&E) whose major formula is already an open
@@ -536,7 +543,7 @@ class _ToSc:
     def _mat(proof: ScProof, phi: Formula) -> ScProof:
         """The proof, with phi on its right side where that is empty."""
         if not proof.sequent.right:
-            return sc.weaken(proof, proof.sequent.left, [phi])
+            return sc._widen(proof, proof.sequent.left, frozenset({phi}))
         return proof
 
     def _step(self, d: NDDeduction, results: list[ScProof]) -> ScProof:
@@ -546,9 +553,8 @@ class _ToSc:
             return _axiom(c)
         if r == "ma":
             a = c.left
-            base = _axiom(a)
             step = ScProof(ScRule.NEG_BOX_R1, Sequent.of([], [a, Neg(Box(a))]),
-                           (Neg(Box(a)),), (sc.weaken(base, [a], [a]),))
+                           (Neg(Box(a)),), (_axiom(a),))
             return ScProof(ScRule.OR_R, Sequent.of([], [c]), (c,), (step,))
         if r == "bot_e":
             proof = results[0]
@@ -563,7 +569,7 @@ class _ToSc:
         rule = _SC_RULE.get(r)
         if rule in _ND_INTRO:
             left = frozenset().union(*(p.sequent.left for p in ps))
-            ws = tuple(sc.weaken(p, left, added)
+            ws = tuple(sc._widen(p, left, frozenset(added))
                        for p, added in zip(ps, _added(rule, c)))
             return ScProof(rule, Sequent(left, frozenset({c})), (c,), ws)
         if rule in (ScRule.OR_L, ScRule.NEG_AND_L):
@@ -582,8 +588,8 @@ class _ToSc:
             (nb, phi), (p0, p1) = prems, ps
             left = p0.sequent.left | p1.sequent.left
             conj_box = And(phi, nb)
-            w0 = sc.weaken(p0, left, [nb])
-            w1 = sc.weaken(p1, left, [phi])
+            w0 = sc._widen(p0, left, frozenset({nb}))
+            w1 = sc._widen(p1, left, frozenset({phi}))
             both = ScProof(ScRule.AND_R, Sequent(left, frozenset({conj_box})),
                            (conj_box,), (w1, w0))
             conj_plain = And(phi, Neg(phi))
@@ -606,8 +612,8 @@ class _ToSc:
         right: list[Formula] = [c] if any(r.sequent.right for r in results[1:]) else []
         q1, q2 = (self._mat(r, c) if right else r for r in results[1:])
         left = (p0.sequent.left | (q1.sequent.left - {a}) | (q2.sequent.left - {b}))
-        w1 = sc.weaken(q1, left | {a}, right)
-        w2 = sc.weaken(q2, left | {b}, right)
+        w1 = sc._widen(q1, left | {a}, frozenset(right))
+        w2 = sc._widen(q2, left | {b}, frozenset(right))
         node = ScProof(rule, Sequent(left | {main}, frozenset(right)), (main,), (w1, w2))
         if main in left:   # an open assumption already: no cut needed
             return node
@@ -621,20 +627,20 @@ class _ToSc:
         disj = d.premises[0].conclusion  # psi | a
         left = p0.sequent.left | (p1.sequent.left - {Neg(a)})
         # split psi | a into psi, a
-        s1 = sc.weaken(_axiom(psi), [psi], [psi, a])
-        s2 = sc.weaken(_axiom(a), [a], [psi, a])
+        s1 = _axiom(psi, (), [a])
+        s2 = _axiom(a, (), [psi])
         split = ScProof(ScRule.OR_L, Sequent.of([disj], [psi, a]), (disj,), (s1, s2))
         opened = sc.cut(p0, split, disj, left, [psi, a])
-        side = sc.weaken(p1, left | {Neg(a)}, [psi])
+        side = sc._widen(p1, left | {Neg(a)}, frozenset({psi}))
         boxed_in = ScProof(ScRule.BOX_R, Sequent(left, frozenset({psi, boxed})),
                            (boxed,), (opened, side))
         return ScProof(ScRule.OR_R, Sequent(left, frozenset({c})), (c,), (boxed_in,))
 
 
 def nd_to_sc(d: NDDeduction) -> ScProof:
-    """Translate a checked deduction into a sequent proof of
-    open_assumptions => conclusion; the result may use cut."""
-    verify_nd(d)
+    """Translate a deduction into a sequent proof of open_assumptions =>
+    conclusion; the result may use cut.  d must pass ``verify_nd``; it is
+    not checked again here."""
     return _ToSc().translate(d)
 
 

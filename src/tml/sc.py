@@ -319,28 +319,48 @@ def weaken(p: ScProof, left: Iterable[Formula], right: Iterable[Formula]) -> ScP
     return cur
 
 
+def _widen(p: ScProof, left: frozenset[Formula], right: frozenset[Formula]) -> ScProof:
+    """p at the wider sequent left => right, as the transforms build it.
+    An axiom becomes the axiom of that sequent, and a logical rule over
+    axioms the same rule there, over its premises' axioms widened by the
+    same formulas: the axiom absorbs weakening.  Any other proof gets
+    the weakenings of ``weaken``."""
+    seq = p.sequent
+    if left == seq.left and right == seq.right:
+        return p
+    if (p.rule in (ScRule.WEAK_L, ScRule.WEAK_R, ScRule.CUT)
+            or not (seq.left <= left and seq.right <= right)
+            or any(q.rule is not ScRule.AXIOM for q in p.premises)):
+        return weaken(p, left, right)
+    more_left, more_right = left - seq.left, right - seq.right
+    return ScProof(p.rule, Sequent(left, right), p.principal, tuple(
+        ScProof(ScRule.AXIOM, Sequent(q.sequent.left | more_left, q.sequent.right | more_right),
+                q.principal)
+        for q in p.premises))
+
+
 def cut(p_right: ScProof, p_left: ScProof, chi: Formula,
         left: Iterable[Formula], right: Iterable[Formula]) -> ScProof:
     """Cut chi out: p_right proves a sequent with chi on the right,
-    p_left one with chi on the left; both are weakened to the shared
-    context first."""
+    p_left one with chi on the left; both are first widened to the
+    shared context (see ``_widen``)."""
     left = frozenset(left)
     right = frozenset(right)
-    p1 = weaken(p_right, left, right | {chi})
-    p2 = weaken(p_left, left | {chi}, right)
+    p1 = _widen(p_right, left, right | {chi})
+    p2 = _widen(p_left, left | {chi}, right)
     return ScProof(ScRule.CUT, Sequent(left, right), (chi,), (p1, p2))
 
 
 def _lemma(rule: ScRule, pi: Formula, x: Formula) -> ScProof:
     """The one-rule proof of pi => x, for a left rule, or of x => pi, for
-    a right rule, over the axiom x => x weakened by the rule's additions."""
+    a right rule, over the axiom x => x with the rule's additions."""
     _, side, _, adds = _RULE[rule]
     ((dl, dr),) = adds(*_parts(pi))
     if side == "L":
-        base, seq = weaken(axiom([x], [x]), dl, [x, *dr]), Sequent.of([pi], [x])
+        base, seq = Sequent.of(dl, [x, *dr]), Sequent.of([pi], [x])
     else:
-        base, seq = weaken(axiom([x], [x]), [x, *dl], dr), Sequent.of([x], [pi])
-    return ScProof(rule, seq, (pi,), (base,))
+        base, seq = Sequent.of([x, *dl], dr), Sequent.of([x], [pi])
+    return ScProof(rule, seq, (pi,), (ScProof(ScRule.AXIOM, base, (x,)),))
 
 
 def falsum_proof(alpha: Formula) -> ScProof:
@@ -373,25 +393,41 @@ _PARTNER = {**dict(_PARTNERS), **{b: a for a, b in _PARTNERS}}
 
 
 def contrapose(p: ScProof) -> ScProof:
-    verify_sc_proof(p, allow_cut=False)
-    return fold(p, _contrapose)
+    """From a cut-free proof of G => D, a proof of ~D => ~G that may use
+    cut.  p must pass ``verify_sc_proof``; it is not checked again here,
+    but a cut in it raises ScCheckError as the checker would."""
+    try:
+        return fold(p, _contrapose)
+    except _CutMet:
+        raise _cut_error(p) from None
+
+
+class _CutMet(Exception):
+    """A transform of cut-free proofs met a cut."""
+
+
+def _cut_error(p: ScProof) -> CheckError:
+    """The error ``verify_sc_proof`` gives a proof whose first fault, in
+    pre-order, is a cut: the one a proof that checks with cut allowed
+    gets without."""
+    return next(CheckError(path, "cut is not allowed here", node.rule)
+                for node, path, entering in walk(p) if entering and node.rule is ScRule.CUT)
 
 
 def _apply(rule: ScRule, conclusion: Sequent, principal: Formula,
            subs: Sequence[ScProof]) -> ScProof:
-    """Build a rule node with the retained-context reading, weakening
-    each subproof up to its required premise sequent."""
+    """Build a rule node with the retained-context reading, widening
+    each subproof to its required premise sequent."""
     _, _, _, adds = _RULE[rule]
     deltas = adds(*_parts(principal))
-    reqs = [Sequent(conclusion.left | frozenset(dl), conclusion.right | frozenset(dr))
-            for dl, dr in deltas]
-    prems = tuple(weaken(s, r.left, r.right) for s, r in zip(subs, reqs))
+    prems = tuple(_widen(s, conclusion.left.union(dl), conclusion.right.union(dr))
+                  for s, (dl, dr) in zip(subs, deltas))
     return ScProof(rule, conclusion, (principal,), prems)
 
 
 def _unnegate(q: ScProof, alpha: Formula, side: str) -> ScProof:
     """From a proof of G => D with ~~a on the given side, the proof with
-    a in its place, by a cut."""
+    a in its place, by a cut against a one-rule lemma."""
     nn = Neg(Neg(alpha))
     left, right = q.sequent.left, q.sequent.right
     if side == "R":
@@ -419,9 +455,9 @@ def _contrapose(node: ScProof, subs: list[ScProof]) -> ScProof:
         (alpha,) = node.principal
         return ScProof(ScRule.AXIOM, target, (Neg(alpha),))
     if node.rule in (ScRule.WEAK_L, ScRule.WEAK_R):
-        return weaken(subs[0], target.left, target.right)
+        return _widen(subs[0], target.left, target.right)
     if node.rule is ScRule.CUT:
-        raise ValueError("contrapose requires a cut-free proof")
+        raise _CutMet
 
     (pi,) = node.principal
     parts = _parts(pi)
@@ -444,12 +480,20 @@ def _contrapose(node: ScProof, subs: list[ScProof]) -> ScProof:
 # ---------------------------------------------------------------------------
 # Necessitation and its inverse.
 
-def necessitate(p: ScProof) -> ScProof:
-    """From a cut-free proof of => psi build a proof of => #psi."""
+def theorem_of(p: ScProof) -> Formula:
+    """psi, for a proof of => psi; ValueError for a proof of any other
+    sequent."""
     seq = p.sequent
     if seq.left or len(seq.right) != 1:
         raise ValueError("necessitate expects a proof of '=> psi'")
     (psi,) = seq.right
+    return psi
+
+
+def necessitate(p: ScProof) -> ScProof:
+    """From a cut-free proof of => psi build a proof of => #psi that may
+    use cut.  p must pass ``verify_sc_proof``, as for ``contrapose``."""
+    psi = theorem_of(p)
     negated = contrapose(p)  # ~psi =>
     conclusion = Sequent.of([], [Box(psi)])
     return ScProof(ScRule.BOX_R, conclusion, (Box(psi),), (p, negated))
@@ -458,13 +502,13 @@ def necessitate(p: ScProof) -> ScProof:
 def denecessitate(p: ScProof) -> ScProof:
     """From a proof of => #psi recover a proof of => psi.
 
-    The root must reduce to the right box rule once weakenings are
-    skipped (for cut-free proofs this is forced); its first premise is
-    returned when it proves => psi exactly, otherwise (search proofs
-    keep the boxed formula in the premise context) the premise sequent
-    is re-derived.
+    p must pass ``verify_sc_proof`` (cut allowed); it is not checked
+    again here.  The root must reduce to the right box rule once
+    weakenings are skipped (for cut-free proofs this is forced); its
+    first premise is returned when it proves => psi exactly, otherwise
+    (search proofs keep the boxed formula in the premise context) the
+    premise sequent is re-derived.
     """
-    verify_sc_proof(p, allow_cut=True)
     seq = p.sequent
     if seq.left or len(seq.right) != 1 or not isinstance(next(iter(seq.right)), Box):
         raise ValueError("denecessitate expects a proof of '=> #psi'")

@@ -179,8 +179,24 @@ def variables(f: Formula) -> frozenset[str]:
 
 
 def variables_of(formulas: Iterable[Formula]) -> list[str]:
-    """The variables of the formulas, sorted."""
-    return sorted(set().union(*map(variables, formulas)))
+    """The variables of the formulas, sorted: one walk over their
+    subformulas, each shared one visited once."""
+    seen: set[Formula] = set()
+    names: list[str] = []
+    stack = list(formulas)
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        t = type(g)
+        if t is Var:
+            names.append(g.name)
+        elif t is Neg or t is Box:
+            stack.append(g.child)
+        elif t is And or t is Or:
+            stack += (g.left, g.right)
+    return sorted(names)
 
 
 def subformulas(f: Formula) -> set[Formula]:

@@ -263,6 +263,112 @@ class TestCheckAndTranslate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["sequent"]["right"] == ["#(p | ~#p)"]
 
+    def test_translate_rejects_an_invalid_input(self, tmp_path, capsys):
+        # each mode checks the file it reads first: exit 2, nothing on
+        # stdout, and the checker's message for the first bad node
+        from tml import nd, sc
+        from tml.sequents import Sequent, parse_sequent
+        from tml.syntax import And, Or, Var
+        p, q, r = Var("p"), Var("q"), Var("r")
+
+        pq = And(p, q)
+        with_cut = sc.ScProof(sc.ScRule.AND_L, Sequent.of([pq], [p]), (pq,), (sc.ScProof(
+            sc.ScRule.CUT, Sequent.of([pq, p, q], [p]), (r,),
+            (sc.axiom([pq, p, q], [p, r]), sc.axiom([pq, p, q, r], [p]))),))
+        pr = sc.prove(parse_sequent("p & q => q & p"))
+        and_r = pr.premises[0]
+        bad_leaf = sc.ScProof(sc.ScRule.WEAK_L, and_r.premises[1].sequent, (p,))
+        bad_sc = sc.ScProof(pr.rule, pr.sequent, pr.principal, (sc.ScProof(
+            and_r.rule, and_r.sequent, and_r.principal, (and_r.premises[0], bad_leaf)),))
+        theorem = sc.prove(parse_sequent("=> p | ~#p"))
+        bad_theorem = sc.ScProof(theorem.rule, theorem.sequent, theorem.principal, (
+            sc.ScProof(sc.ScRule.AXIOM, theorem.premises[0].sequent, (p,)),))
+        twice = nd.NDDeduction("or_e", r, (nd.hyp(Or(p, q), "w"), nd.hyp(r, "x"),
+                                           nd.hyp(r, "y")),
+                               discharges=(("u", p), ("u", q)))
+        bad_nd = nd.NDDeduction("and_i", And(r, q), (
+            twice, nd.NDDeduction("and_e1", q, (nd.hyp(And(p, q), "b"),))))
+
+        for mode, doc, want in [
+                ("contrapose", sc.proof_to_json(with_cut),
+                 "node [0] (cut): cut is not allowed here"),
+                ("sc2nd", sc.proof_to_json(bad_sc),
+                 "node [0, 1] (weak_l): weakening needs one premise and one principal"),
+                ("necessitate", sc.proof_to_json(bad_theorem),
+                 "node [0] (axiom): left and right sides do not share a formula"),
+                ("nd2sc", nd.nd_to_json(bad_nd), "node [0]: marker 'u' discharged twice")]:
+            path = tmp_path / f"bad_{mode}.json"
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run(["translate", mode, str(path)]) == 2, mode
+            assert capsys.readouterr() == ("", f"error: {want}\n"), mode
+
+
+class TestSelfChecks:
+    """Each command checks what it computed before printing it.  A result
+    that fails is the program's fault: exit 2 with a message, not 0 or 1,
+    and nothing on stdout.  Here the search or transform is replaced by
+    one that returns a broken object."""
+
+    def _fails(self, capsys, argv, want):
+        capsys.readouterr()
+        assert run(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: internal error: {want}\n"), argv
+
+    def test_prove(self, capsys, monkeypatch):
+        from tml import gcalc, sc, signed
+        from tml.syntax import Var
+        p = Var("p")
+        monkeypatch.setattr(sc, "prove", lambda seq: sc.ScProof(sc.ScRule.AXIOM, seq, (p,)))
+        self._fails(capsys, ["prove", "=> p | ~#p"], "the proof fails its check: "
+                    "node [] (axiom): left and right sides do not share a formula")
+        monkeypatch.setattr(sc, "prove", lambda seq: sc.axiom([p], [p]))
+        self._fails(capsys, ["prove", "q => q"], "the proof is not of the sequent")
+        monkeypatch.setattr(gcalc, "g_search_cutfree",
+                            lambda goal, depth, stats: gcalc.GProof(gcalc.GRule.STRUCT_AX, goal))
+        self._fails(capsys, ["prove", "--calculus", "g", "=> p | ~#p"],
+                    "the proof fails its check: "
+                    "node [] (g.struct_ax): premises do not instantiate the schema")
+        monkeypatch.setattr(signed, "sf_prove",
+                            lambda goal, m: signed.SFDerivation("axiom", goal))
+        self._fails(capsys, ["prove", "--calculus", "sf4", "=> p"],
+                    "the derivation fails its check: node []: no formula carries every sign")
+
+    def test_countermodel(self, capsys, monkeypatch):
+        monkeypatch.setattr("tml.matrix.countermodel", lambda gamma, delta, m: {"p": "1"})
+        self._fails(capsys, ["countermodel", "=> p | ~p"],
+                    "the valuation p=1 does not refute the sequent")
+
+    def test_translate(self, capsys, monkeypatch, tmp_path):
+        from tml import nd, sc
+        from tml.sequents import Sequent, parse_sequent
+        from tml.syntax import Var
+        files = {}
+        for name, sequent in [("proof", "p & q => p"), ("theorem", "=> p | ~#p")]:
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(sc.proof_to_json(sc.prove(parse_sequent(sequent)))))
+        files["deduction"] = tmp_path / "deduction.json"
+        files["deduction"].write_text(json.dumps(nd.nd_to_json(
+            nd.sc_to_nd(sc.prove(parse_sequent("p & q => p"))))))
+
+        monkeypatch.setattr(sc, "contrapose", lambda proof: proof)
+        self._fails(capsys, ["translate", "contrapose", str(files["proof"])],
+                    "the proof is not of the sequent the transform promises")
+        monkeypatch.setattr(sc, "necessitate", lambda proof: sc.ScProof(
+            sc.ScRule.CUT, proof.sequent, (), (proof,)))
+        self._fails(capsys, ["translate", "necessitate", str(files["theorem"])],
+                    "the proof fails its check: "
+                    "node [] (cut): cut needs two premises and a cut formula")
+        monkeypatch.setattr(nd, "sc_to_nd", lambda proof: nd.hyp(Var("p"), "u"))
+        self._fails(capsys, ["translate", "sc2nd", str(files["proof"])],
+                    "the deduction does not conclude the disjunction of the right side "
+                    "from the left")
+        monkeypatch.setattr(nd, "nd_to_sc", lambda ded: sc.ScProof(
+            sc.ScRule.WEAK_L, Sequent.of([ded.conclusion], [ded.conclusion])))
+        self._fails(capsys, ["translate", "nd2sc", str(files["deduction"])],
+                    "the proof fails its check: "
+                    "node [] (weak_l): weakening needs one premise and one principal")
+
 
 class TestGenRules:
     def test_sf_stage_counts(self, capsys):

@@ -32,11 +32,31 @@ def _own(node: ast.AST) -> list[ast.AST]:
     return out
 
 
-def _call_graph(module: str, tree: ast.Module) -> dict[str, set[str]]:
-    """Qualified function name -> the qualified names it calls."""
+def _call_graph(module: str, tree: ast.Module, wide: bool = False) -> dict[str, set[str]]:
+    """Qualified function name -> the qualified names it calls.
+
+    ``wide`` reads every use of a function as a call, so that a function
+    passed as an argument counts (as ``fold(p, _contrapose)`` calls
+    ``_contrapose``), and adds what a name can stand for beyond the
+    module's own functions: a package function imported by name or used
+    through its imported module (``sc.cut``), a class (each of its
+    methods), and a method name after any dot (every method of the
+    module's classes with that name).  That over-approximates the calls,
+    so a path it does not find does not exist."""
     graph: dict[str, set[str]] = {}
+    imported: dict[str, str] = {}
+    modules: dict[str, str] = {}
+    by_method: dict[str, set[str]] = {}
+    if wide:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level == 1:
+                for a in n.names:
+                    if n.module is None:
+                        modules[a.asname or a.name] = a.name
+                    else:
+                        imported[a.asname or a.name] = f"{n.module}.{a.name}"
     # (node, its qualified name, the functions visible by name, the methods of its class)
-    todo = [(tree, module, {}, {})]
+    todo = [(tree, module, imported, {})]
     while todo:
         node, qual, scope, methods = todo.pop()
         own = _own(node)
@@ -48,19 +68,31 @@ def _call_graph(module: str, tree: ast.Module) -> dict[str, set[str]]:
                 defs = [c for c in n.body if isinstance(c, _DEFS)]
                 inner = {c.name: f"{qual}.{n.name}.{c.name}" for c in defs}
                 todo.extend((c, inner[c.name], visible, inner) for c in defs)
+                if wide:
+                    visible[n.name] = f"{qual}.{n.name}"
+                    graph[visible[n.name]] = set(inner.values())
+                    for name, method in inner.items():
+                        by_method.setdefault(name, set()).add(method)
         if not isinstance(node, _DEFS):
             continue
         params = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
         calls = graph.setdefault(qual, set())
         for n in own:
-            if not isinstance(n, ast.Call):
+            if wide:
+                f = n
+            elif isinstance(n, ast.Call):
+                f = n.func
+            else:
                 continue
-            f = n.func
             if isinstance(f, ast.Name) and f.id in visible and f.id not in params:
                 calls.add(visible[f.id])
             elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
                   and f.value.id == "self" and f.attr in methods):
                 calls.add(methods[f.attr])
+            elif wide and isinstance(f, ast.Attribute):
+                if isinstance(f.value, ast.Name) and f.value.id in modules:
+                    calls.add(f"{modules[f.value.id]}.{f.attr}")
+                calls.update(by_method.get(f.attr, ()))
     return graph
 
 
@@ -161,6 +193,44 @@ def test_the_guard_sees_a_crossing():
                      "def check():\n    return 0\n")
     assert _crossings(_call_graph("m", tree), [(("m.search", "m.check"), ("m.rules",))]) == [
         ("m.search", "m.rules")]
+
+
+# Each proof is checked once, where it enters or leaves the CLI (or by the
+# caller of the library): a transform assumes its input checks.
+CHECK_ONCE = [(("sc.contrapose", "sc.necessitate", "sc.denecessitate", "nd.sc_to_nd",
+                "nd.nd_to_sc"), ("sc.verify_sc_proof", "nd.verify_nd"))]
+
+
+def _package_graph() -> dict[str, set[str]]:
+    graph: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        graph.update(_call_graph(path.stem, ast.parse(path.read_text()), wide=True))
+    return graph
+
+
+def test_the_transforms_do_not_check_their_input():
+    graph = _package_graph()
+    assert {f for pair in CHECK_ONCE for side in pair for f in side} <= graph.keys()
+    assert _crossings(graph, CHECK_ONCE) == []
+
+
+def test_the_guard_sees_a_crossing_between_modules():
+    # a.transform reaches b.check through a callback, an imported module,
+    # a method of an object it builds and a name it imports
+    a = ("from . import b\nfrom .b import fold\n"
+         "def transform(p):\n    return fold(p, step)\n"
+         "def step(node):\n    return Builder().build(node)\n"
+         "class Builder:\n    def build(self, node):\n        return b.helper(node)\n"
+         "def clean(p):\n    return fold(p, len)\n")
+    b = ("def fold(p, combine):\n    return combine(p)\n"
+         "def helper(node):\n    return check(node)\n"
+         "def check(node):\n    return node\n")
+    graph = {**_call_graph("a", ast.parse(a), wide=True), **_call_graph("b", ast.parse(b), wide=True)}
+    assert _crossings(graph, [(("a.transform", "a.clean"), ("b.check",))]) == [
+        ("a.transform", "b.check")]
+    # without wide, the callback and the other module are not seen
+    narrow = {**_call_graph("a", ast.parse(a)), **_call_graph("b", ast.parse(b))}
+    assert _crossings(narrow, [(("a.transform",), ("b.check",))]) == []
 
 
 def test_no_call_cycles():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tml.syntax import (And, BOT, Box, FormulaTemplate, Neg, Or, SyntaxError_,
-                        Var, closure, parse, render, subformulas, substitute)
+                        Var, closure, parse, render, subformulas, substitute, variables,
+                        variables_of)
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -149,6 +150,18 @@ class TestClosure:
            st.sets(formulas(max_leaves=4), max_size=2))
     def test_monotone_in_argument(self, a, b):
         assert closure(a) <= closure(a | b)
+
+
+class TestVariables:
+    @given(st.lists(st.recursive(
+        st.one_of(st.sampled_from([Var(f"x{i}") for i in range(12)] + [p, q]), st.just(BOT)),
+        lambda sub: st.one_of(sub.map(Neg), sub.map(Box),
+                              st.tuples(sub, sub).map(lambda t: And(*t)),
+                              st.tuples(sub, sub).map(lambda t: Or(*t))),
+        max_leaves=8), max_size=4))
+    def test_one_walk_matches_a_set_per_formula(self, fs):
+        assert variables_of(fs) == sorted(set().union(*map(variables, fs)))
+        assert variables_of(iter(fs)) == variables_of(fs)
 
 
 def _parse_outcomes():
