@@ -23,7 +23,8 @@ from .proofs import CheckError, fold, from_json, passes, render, shared, to_json
 from .record import Record
 from .search import Step, decide
 from .sequents import Sequent, render_sequent, side_texts
-from .syntax import And, Box, Formula, Neg, Or, Var, formula_key, parse, variables_of
+from .syntax import (And, Box, Formula, Neg, Or, Var, formula_key, mentions_bot, parse,
+                     variables_of)
 
 if TYPE_CHECKING:
     from .algebra import Algebra
@@ -284,11 +285,8 @@ def prove(s: Sequent) -> Optional[ScProof]:
     The calculus has no rules for the constant bot (it is definable as
     ~a & #a), so sequents mentioning it are rejected up front rather
     than searched incompletely."""
-    from .syntax import Bot, subformulas
-    for f in s.left | s.right:
-        if any(isinstance(g, Bot) for g in subformulas(f)):
-            raise ValueError(
-                "the two-sided calculus has no rules for 'bot'; encode it as ~a & #a")
+    if mentions_bot(itertools.chain(s.left, s.right)):
+        raise ValueError("the two-sided calculus has no rules for 'bot'; encode it as ~a & #a")
     return decide(s, _expand)
 
 
@@ -536,8 +534,8 @@ def denecessitate(p: ScProof) -> ScProof:
 
 
 # ---------------------------------------------------------------------------
-# Local degree-soundness of the rule schemas over the algebra and a
-# product of it with itself.
+# Local degree-soundness of the rule schemas over the four-element
+# algebra, which decides it for every finite power of that algebra.
 
 _G, _D = Var("g"), Var("d")
 
@@ -555,10 +553,9 @@ _SOUNDNESS_SCHEMA: dict[ScRule, tuple[list[tuple[list, list]], tuple[list, list]
 
 
 @cache
-def _default_algebras() -> tuple[Algebra, Algebra]:
-    from .algebra import m4_algebra, product_algebra
-    base = m4_algebra()
-    return base, product_algebra(base, base)
+def _m4() -> Algebra:
+    from .algebra import m4_algebra
+    return m4_algebra()
 
 
 def schema_counterexample(premises: list[tuple[list, list]],
@@ -568,9 +565,22 @@ def schema_counterexample(premises: list[tuple[list, list]],
     """The first assignment, algebra by algebra in enumeration order,
     where every premise inequality meet(left) <= join(right) holds but
     the conclusion's fails; all assignments of an algebra at once.
-    Every right side is non-empty."""
+    Every right side is non-empty.
+
+    Without ``algebras`` only the four-element algebra M4 is searched,
+    and its answer holds for every finite power of M4 as well.  A
+    product algebra computes meet, join, ~, #, top and the order
+    componentwise (``algebra.product_algebra``), so an assignment into
+    A x B is a pair of assignments, one into each factor, and every
+    formula takes the pair of their values.  An inequality holds at the
+    pair exactly when it holds at both coordinates.  So where every
+    premise holds and the conclusion fails, the premises hold at both
+    coordinates and the conclusion fails at one of them: that
+    coordinate is a counterexample in its factor.  By induction a
+    counterexample in a finite power of M4 projects to one in M4, and
+    none in M4 means none in any of them."""
     if algebras is None:
-        algebras = _default_algebras()
+        algebras = (_m4(),)
     names = variables_of(f for left, right in [*premises, conclusion]
                          for f in itertools.chain(left, right))
     for alg in algebras:
@@ -585,7 +595,8 @@ def schema_counterexample(premises: list[tuple[list, list]],
 
 def rule_soundness(rule: ScRule) -> bool:
     """Premise validity implies conclusion validity, degree-wise, over
-    the four-element algebra and its square."""
+    M4 and so over every finite power of it (see
+    ``schema_counterexample``), its 16-element square included."""
     premises, conclusion = _SOUNDNESS_SCHEMA[rule]
     return schema_counterexample(premises, conclusion) is None
 

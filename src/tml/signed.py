@@ -21,7 +21,7 @@ from .matrix import _CONNECTIVE, LogicalMatrix, M4, TruthValue, Valuation, evalu
 from .proofs import CheckError, from_json, passes, render, shared, to_json, walk
 from .record import Record
 from .search import Step, decide
-from .syntax import Box, Formula, Neg, formula_key, parse
+from .syntax import Box, Formula, Neg, formula_key, mentions_bot, parse
 
 __all__ = [
     "SignedFormula", "NSequent", "SignedRule", "SFDerivation",
@@ -301,11 +301,9 @@ def sf_prove(goal: Iterable[SignedFormula], m: LogicalMatrix = M4,
     derivation a backtracking search over all pairs in the same order
     finds first.
     """
-    from .syntax import Bot, subformulas
     goal_set = frozenset(goal)
-    for sf in goal_set:
-        if any(isinstance(g, Bot) for g in subformulas(sf.formula)):
-            raise ValueError("the signed calculus has no decomposition rule for 'bot'")
+    if mentions_bot(sf.formula for sf in goal_set):
+        raise ValueError("the signed calculus has no decomposition rule for 'bot'")
     table = _rule_table(m)
 
     def expand(omega: frozenset[SignedFormula]) -> Optional[Step]:

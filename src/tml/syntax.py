@@ -7,10 +7,15 @@ identifiers as variables.  Unicode aliases: ∨ ∧ ¬ □ ⊥.
 Formulas are interned: structurally equal formulas are the same object,
 so equality and hashing are O(1).  Every formula carries a precomputed
 ascii rendering (``text``) and node count (``size``).
+
+``parse`` checks the characters of a text with one regular expression,
+takes its tokens as strings with another and reads them in one loop;
+it computes a line and column only for the error it raises.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Iterable
 
@@ -19,7 +24,8 @@ from .record import Record
 __all__ = [
     "Formula", "Var", "Bot", "Neg", "Box", "And", "Or", "BOT",
     "FormulaTemplate", "SyntaxError_", "parse", "render", "substitute",
-    "closure", "subformulas", "variables", "variables_of", "formula_key", "PLACEHOLDER",
+    "closure", "subformulas", "mentions_bot", "variables", "variables_of", "formula_key",
+    "PLACEHOLDER",
 ]
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
@@ -199,6 +205,26 @@ def variables_of(formulas: Iterable[Formula]) -> list[str]:
     return sorted(names)
 
 
+def mentions_bot(formulas: Iterable[Formula]) -> bool:
+    """Whether bot occurs in any of the formulas: one walk over their
+    subformulas, each shared one visited once, up to the first bot."""
+    seen: set[Formula] = set()
+    stack = list(formulas)
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        t = type(g)
+        if t is Bot:
+            return True
+        if t is Neg or t is Box:
+            stack.append(g.child)
+        elif t is And or t is Or:
+            stack += (g.left, g.right)
+    return False
+
+
 def subformulas(f: Formula) -> set[Formula]:
     """All subformulas of f, including f itself."""
     out: set[Formula] = set()
@@ -255,138 +281,87 @@ class SyntaxError_(ValueError):
 
 _ALIASES = {"¬": "~", "□": "#", "∧": "&", "∨": "|", "⊥": "bot", "⇒": "=>"}
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<ident>[a-z][a-zA-Z0-9_]*)|(?P<op>[~#&|()])"
-)
+_TOKEN = rf"{_IDENT_RE.pattern}|[~#&|()]"
+_TOKEN_RE = re.compile(_TOKEN)
+_TEXT_RE = re.compile(rf"(?:\s+|{_TOKEN})*")
 
 
-class _Token(Record):
-    __slots__ = ("kind", "value", "line", "column")
-    kind: str  # 'ident' 'bot' '~' '#' '&' '|' '(' ')' 'end'
-    value: str
-    line: int
-    column: int
-
-    # not frozen, so unhashable
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, kind: str, value: str, line: int, column: int) -> None:
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
+def _error(message: str, text: str, pos: int) -> SyntaxError_:
+    """The error at offset pos of the alias-expanded text."""
+    return SyntaxError_(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    for uni, repl in _ALIASES.items():
-        text = text.replace(uni, repl)
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SyntaxError_(f"unexpected character {text[pos]!r}", line, col)
-        if m.lastgroup == "ws":
-            chunk = m.group()
-            nl = chunk.count("\n")
-            if nl:
-                line += nl
-                col = len(chunk) - chunk.rfind("\n")
-            else:
-                col += len(chunk)
-        elif m.lastgroup == "ident":
-            word = m.group()
-            kind = "bot" if word == "bot" else "ident"
-            tokens.append(_Token(kind, word, line, col))
-            col += len(word)
-        else:
-            tokens.append(_Token(m.group(), m.group(), line, col))
-            col += 1
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise SyntaxError_(
-                f"expected {kind!r}, found {t.value or 'end of input'!r}",
-                t.line, t.column)
-        return self.next()
-
-    def formula(self) -> Formula:
-        """formula := conj ('|' conj)*, conj := unary ('&' unary)*,
-        unary := ('~' | '#')* atom, atom := ident | 'bot' | '(' formula ')'.
-
-        A loop over the tokens: each open parenthesis saves the state of
-        the enclosing formula, its disjunction and conjunction so far and
-        the prefixes before the parenthesis, on a stack."""
-        outer: list[tuple] = []
-        disj = conj = None
-        prefixes: list[str] = []
-        while True:
-            t = self.next()
-            while t.kind in ("~", "#"):
-                prefixes.append(t.kind)
-                t = self.next()
-            if t.kind == "(":
-                outer.append((disj, conj, prefixes))
-                disj = conj = None
-                prefixes = []
-                continue
-            if t.kind == "ident":
-                f = Var(t.value)
-            elif t.kind == "bot":
-                f = BOT
-            else:
-                raise SyntaxError_(
-                    f"expected a variable, 'bot' or '(', found {t.value or 'end of input'!r}",
-                    t.line, t.column)
-            while True:   # f is an atom: close every formula that ends after it
-                for op in reversed(prefixes):
-                    f = Neg(f) if op == "~" else Box(f)
-                conj = f if conj is None else And(conj, f)
-                kind = self.peek().kind
-                if kind == "&":
-                    break
-                disj = conj if disj is None else Or(disj, conj)
-                if kind == "|":
-                    conj = None
-                    break
-                if not outer:
-                    return disj
-                self.expect(")")
-                f = disj
-                disj, conj, prefixes = outer.pop()
-            self.next()
-            prefixes = []
+def _offset(text: str, i: int) -> int:
+    """Where the i-th token starts, scanning again; len(text) for the end
+    of input after the last token."""
+    match = next(itertools.islice(_TOKEN_RE.finditer(text), i, None), None)
+    return match.start() if match else len(text)
 
 
 def parse(text: str) -> Formula:
-    """Parse a formula; raises SyntaxError_ on malformed input."""
-    p = _Parser(text)
-    f = p.formula()
-    t = p.peek()
-    if t.kind != "end":
-        raise SyntaxError_(f"unexpected trailing input {t.value!r}", t.line, t.column)
-    return f
+    """Parse a formula; raises SyntaxError_ on malformed input.
+
+    formula := conj ('|' conj)*, conj := unary ('&' unary)*,
+    unary := ('~' | '#')* atom, atom := ident | 'bot' | '(' formula ')'.
+
+    One regex pass checks the characters, a second takes the tokens as
+    strings, with "" for the end of input.  A loop reads them: each open
+    parenthesis saves the state of the enclosing formula, its disjunction
+    and conjunction so far and the prefixes before the parenthesis, on a
+    stack.  Lines and columns are computed only for an error."""
+    for uni, repl in _ALIASES.items():
+        text = text.replace(uni, repl)
+    end = _TEXT_RE.match(text).end()
+    if end < len(text):
+        raise _error(f"unexpected character {text[end]!r}", text, end)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    i = 0
+    outer: list[tuple] = []
+    disj = conj = None
+    prefixes: list[str] = []
+    while True:
+        t = tokens[i]
+        while t == "~" or t == "#":
+            prefixes.append(t)
+            i += 1
+            t = tokens[i]
+        i += 1
+        if t == "(":
+            outer.append((disj, conj, prefixes))
+            disj = conj = None
+            prefixes = []
+            continue
+        if t == "bot":
+            f = BOT
+        elif t[:1].islower():
+            f = Var(t)
+        else:
+            raise _error(f"expected a variable, 'bot' or '(', found {t or 'end of input'!r}",
+                         text, _offset(text, i - 1))
+        while True:   # f is an atom: close every formula that ends after it
+            for op in reversed(prefixes):
+                f = Neg(f) if op == "~" else Box(f)
+            conj = f if conj is None else And(conj, f)
+            t = tokens[i]
+            if t == "&":
+                break
+            disj = conj if disj is None else Or(disj, conj)
+            if t == "|":
+                conj = None
+                break
+            if not outer:
+                if t:
+                    raise _error(f"unexpected trailing input {t!r}", text, _offset(text, i))
+                return disj
+            if t != ")":
+                raise _error(f"expected ')', found {t or 'end of input'!r}",
+                             text, _offset(text, i))
+            i += 1
+            f = disj
+            disj, conj, prefixes = outer.pop()
+        i += 1
+        prefixes = []
 
 
 _UNICODE_MAP = str.maketrans({"~": "¬", "#": "□", "&": "∧", "|": "∨"})

@@ -15,11 +15,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tml.algebra import m4_algebra, product_algebra
+from tml.algebra import algebra_evaluate, m4_algebra, product_algebra
 from tml.matrix import (M4, Planes, UnknownConnectiveError, countermodel,
                         degree_consequence, evaluate, matrix_consequence,
                         matrix_from_json, matrix_to_json, satisfies, valuations)
-from tml.sc import schema_counterexample
+from tml.sc import _SOUNDNESS_SCHEMA, schema_counterexample
 from tml.sequents import Sequent, sequent_satisfied
 from tml.signed import NSequent
 from tml.syntax import (BOT, PLACEHOLDER, And, Box, FormulaTemplate, Neg, Or,
@@ -151,6 +151,49 @@ def test_schema_counterexample_golden_on_the_square():
                                 (product_algebra(base, base),))
     assert list(got.items()) == [("a", ("0", "n")), ("d", ("0", "0")),
                                  ("g", ("0", "n"))], list(got.items())
+
+
+def _holds(alg, assignment, side):
+    """meet(left) <= join(right) at one assignment, evaluated pointwise."""
+    left, right = side
+    lo, hi = alg.one, alg.zero
+    for f in left:
+        lo = alg.meet[(lo, algebra_evaluate(f, assignment, alg))]
+    for f in right:
+        hi = alg.join[(hi, algebra_evaluate(f, assignment, alg))]
+    return alg.leq(lo, hi)
+
+
+def _schemas_and_mutants():
+    """Every rule schema, and every logical rule with one of its
+    premises dropped."""
+    out = list(_SOUNDNESS_SCHEMA.values())
+    for rule, (premises, conclusion) in _SOUNDNESS_SCHEMA.items():
+        if rule.value not in ("axiom", "weak_l", "weak_r", "cut"):
+            out += [(premises[:i] + premises[i + 1:], conclusion)
+                    for i in range(len(premises))]
+    return out
+
+
+def test_the_square_agrees_with_m4():
+    # M4 alone decides soundness over its square: both find a witness or
+    # neither does, and a square witness projects, in one coordinate, to
+    # an assignment into M4 where every premise holds and the conclusion
+    # fails, checked pointwise
+    m4 = m4_algebra()
+    square = product_algebra(m4, m4)
+    refuted = 0
+    for premises, conclusion in _schemas_and_mutants():
+        on_m4 = schema_counterexample(premises, conclusion, (m4,))
+        on_square = schema_counterexample(premises, conclusion, (square,))
+        assert (on_m4 is None) == (on_square is None), (premises, conclusion)
+        if on_square is None:
+            continue
+        refuted += 1
+        projections = [{x: v[k] for x, v in on_square.items()} for k in (0, 1)]
+        assert any(all(_holds(m4, a, side) for side in premises)
+                   and not _holds(m4, a, conclusion) for a in projections)
+    assert refuted >= 10, refuted
 
 
 def _broken_spec():

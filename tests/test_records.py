@@ -51,9 +51,6 @@ GOLDEN = [
      "LawCheck(name='modal_axiom', holds=False, witness=('n', 'b'))"),
     (lambda: signed.NSequent.of([p], [], [], [q]),
      "NSequent(components=(frozenset({p}), frozenset(), frozenset(), frozenset({q})))"),
-    (lambda: syntax._tokenize("p"),
-     "[_Token(kind='ident', value='p', line=1, column=1), "
-     "_Token(kind='end', value='', line=1, column=2)]"),
     (lambda: signed.generate_sf_rules(matrix.M4)[2],
      "SignedRule(name='or_0_0', kind='logical', connective='or', arg_signs=('0', '0'), "
      "out_sign='0')"),
@@ -115,7 +112,6 @@ INSTANCES = [
     (lambda: signed.SignedRule("axiom", "axiom"),
      ("name", "kind", "connective", "arg_signs", "out_sign")),
     (_sf_derivation, ("rule", "signed", "premises")),
-    (lambda: syntax._tokenize("p")[0], ("kind", "value", "line", "column")),
     (lambda: syntax.FormulaTemplate(Neg(p)), ("body",)),
     (lambda: translation.m4_spec().templates("n"), ("n_side", "d_side")),
     (translation.m4_spec, ("per_value",)),
@@ -138,10 +134,6 @@ def test_equality_and_hash_over_the_fields(make, fields):
         with pytest.raises(TypeError):
             hash(a)
         return
-    if type(a).__name__ == "_Token":   # mutable, so unhashable
-        with pytest.raises(TypeError):
-            hash(a)
-        return
     assert hash(a) == hash(b) == want
 
 
@@ -149,10 +141,6 @@ def test_equality_and_hash_over_the_fields(make, fields):
                          ids=[type(make()).__name__ for make, _ in INSTANCES])
 def test_fields_of_frozen_classes_cannot_be_assigned(make, fields):
     obj = make()
-    if type(obj).__name__ == "_Token":
-        obj.line = 7    # the parser's tokens are not frozen
-        assert obj.line == 7
-        return
     for f in fields:
         with pytest.raises(AttributeError):
             setattr(obj, f, None)

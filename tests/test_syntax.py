@@ -164,14 +164,31 @@ class TestVariables:
         assert variables_of(iter(fs)) == variables_of(fs)
 
 
+PIECES = ["p", "q", "bot", "~", "#", "&", "|", "(", ")", " ", "\n", "¬", "∨",
+          "@", "x1"]
+
+
+@given(st.lists(st.one_of(st.sampled_from(PIECES), st.characters()), max_size=16))
+def test_parse_returns_a_formula_or_a_positioned_error(pieces):
+    text = "".join(pieces)
+    try:
+        f = parse(text)
+    except SyntaxError_ as e:
+        # positions count the text with its aliases spelled out
+        lines = text.replace("⊥", "bot").replace("⇒", "=>").split("\n")
+        assert 1 <= e.line <= len(lines)
+        assert 1 <= e.column <= len(lines[e.line - 1]) + 1
+    else:
+        assert parse(f.text) is f
+
+
 def _parse_outcomes():
     """What parse makes of seeded inputs, most of them malformed: random
     token strings, and well-formed formulas with one character deleted,
     inserted or swapped.  Each outcome is the rendering or the error
     message with its line and column."""
     rng = random.Random(23)
-    pieces = ["p", "q", "bot", "~", "#", "&", "|", "(", ")", " ", "\n", "¬", "∨",
-              "@", "x1"]
+    pieces = PIECES
     inputs = ["".join(rng.choice(pieces) for _ in range(rng.randrange(0, 9)))
               for _ in range(400)]
     valid = ["p | ~#p", "~(p & q) | #(r | ~q)", "((p))", "#~#~p & (q | bot)",
