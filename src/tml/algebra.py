@@ -3,18 +3,17 @@
 An algebra here is a finite carrier with meet, join, an involutive
 negation, a necessity operator and a bottom constant.  The laws are
 formula texts that ``check_tma_laws`` evaluates under every assignment
-at once with ``matrix.Planes``; ``algebra_evaluate`` is the
-pointwise evaluator the tests compare the kernel with.
+at once with the value-plane kernel of ``matrix``; ``algebra_evaluate``
+is the pointwise evaluator the tests compare the kernel with.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property, reduce
-from operator import or_, xor
+from functools import cache, cached_property
 from typing import Hashable, Mapping, Optional
 
-from .matrix import M4, LogicalMatrix, Planes
+from .matrix import M4, LogicalMatrix, value_planes
 from .record import Record
 from .syntax import And, Bot, Formula, Neg, Or, Var, parse, variables_of
 
@@ -206,14 +205,14 @@ def _parsed_laws() -> tuple[tuple[str, list[tuple[Formula, Formula]]], ...]:
 
 def check_tma_laws(alg: Algebra) -> TmaLawReport:
     """Check every law under all assignments at once: an equation fails
-    where the planes of its sides differ, a law where its premises hold
+    where its sides take different values, a law where its premises hold
     and its conclusion fails.  A failure carries its first failing
     assignment in ``itertools.product`` order."""
     checks = []
     for name, equations in _parsed_laws():
         names = variables_of(f for sides in equations for f in sides)
-        planes = Planes(names, alg.carrier, alg.tables())
-        *premises, fails = [reduce(or_, map(xor, planes[x], planes[y])) for x, y in equations]
+        planes = value_planes(names, alg.carrier, alg.tables())
+        *premises, fails = [planes.differ(x, y) for x, y in equations]
         for mask in premises:
             fails &= ~mask
         witness = tuple(planes.first(fails).values()) if fails else None

@@ -26,7 +26,8 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .matrix import M4, MissingVariableError, Planes, matrix_consequence, render_valuation
+from .matrix import (M4, DunnPlanes, MissingVariableError, Planes, matrix_consequence,
+                     render_valuation, value_planes)
 from .proofs import CheckError, from_json, passes, render, shared, to_json, walk
 from .record import Record
 from .sc import is_cut_free, prove
@@ -269,13 +270,15 @@ class GSearchStats:
 
 
 # A plane over k variables takes 4**k bits, and testing a sequent costs
-# time in proportion: about 26 us at 8 variables, 84 us at 9 and 520 us
-# at 10, against 70-80 us for expanding a sequent (CPython 3.11, one
-# core of a shared 2-core VM).  On the chain x1 & ... & xk => x1 at
-# height 12, where few sequents have a countermodel, pruning took 4.9 s
-# against 6.4 s unpruned at 8 variables, 17 s against 10 s at 9 and 98 s
-# against 18 s at 10.  Past this many variables the search does not
-# prune, which costs it speed but no proof and no certificate.
+# time in proportion: about 8.5 us at 8 variables, 34 us at 9 and 155 us
+# at 10, against 37-48 us for expanding a sequent (CPython 3.11, one
+# core of a shared 2-core VM).  Every sequent is tested, and only the
+# dropped ones save an expansion.  On the chain x1 & ... & xk => x1 at
+# height 12, where about half the tested sequents have a countermodel,
+# pruning took 2.4 s against 3.1 s unpruned at 8 variables, 7.5 s
+# against 6.5 s at 9 and 26 s against 8.7 s at 10.  Past this many
+# variables the search does not prune, which costs it speed but no
+# proof and no certificate.
 _PRUNE_MAX_VARS = 8
 
 
@@ -286,13 +289,14 @@ class _Refuter:
     keeps one per sequent it tests, and a mask takes 4**k bits.  Every
     sequent of a search is built from the goal's subformulas, their
     negations and ``a & ~a``, so it has no other variables, and one
-    ``Planes`` serves them all.  A goal with more than
-    ``_PRUNE_MAX_VARS`` variables gets -1, no refuting valuation, for
-    every sequent, and ``planes`` is None: no plane is built for it."""
+    kernel from ``matrix.value_planes`` serves them all.  A goal with
+    more than ``_PRUNE_MAX_VARS`` variables gets -1, no refuting
+    valuation, for every sequent, and ``planes`` is None: no plane is
+    built for it."""
 
     def __init__(self, goal: GSequent):
         names = variables_of([*goal.left, goal.right])
-        self.planes = (Planes(names, M4.values, M4.tables())
+        self.planes = (value_planes(names, M4.values, M4.tables())
                        if len(names) <= _PRUNE_MAX_VARS else None)
 
     def __call__(self, seq: GSequent) -> int:
@@ -304,7 +308,7 @@ class _Refuter:
 
 def _bounded_search(s: GSequent, depth: int, stats: GSearchStats,
                     ) -> tuple[Optional[GProof], dict[GSequent, int],
-                               dict[GSequent, int], Optional[Planes]]:
+                               dict[GSequent, int], Optional[Planes | DunnPlanes]]:
     """The first cut-free proof of s of height at most depth, in the
     order of ``_backward_steps``, or None; with the memo of failures
     (the largest budget each sequent failed at), the memo of first

@@ -22,7 +22,8 @@ __all__ = [
     "TruthValue", "Valuation", "Operation", "LogicalMatrix", "M4",
     "MissingVariableError", "UnknownConnectiveError",
     "evaluate", "satisfies", "valuations", "matrix_consequence",
-    "degree_consequence", "countermodel", "Planes", "parse_valuation",
+    "degree_consequence", "countermodel", "Planes", "DunnPlanes",
+    "value_planes", "parse_valuation",
     "render_valuation", "matrix_to_json", "matrix_from_json", "load_matrix",
     "bundled_m4_path",
 ]
@@ -253,10 +254,77 @@ def valuations(vars: Iterable[str], m: LogicalMatrix = M4) -> list[dict[str, Tru
 #
 # Valuation j of ``valuations(names)`` is the number whose base-n digits
 # are the value indices of the names, the first name most significant.
-# The value planes of a formula are n ints, one per value: bit j of
-# plane i is set when the formula takes value i under valuation j.  The
-# planes are one-hot, every bit is set in exactly one of them, and a
-# connective maps them through its index table with bitwise & and |.
+# A kernel holds each formula as a few ints, bit j of each saying
+# something of its value under valuation j, and answers queries with
+# masks of valuations.  Two formats, picked by ``value_planes``:
+#
+# - one-hot (``Planes``), for any carrier: n ints, one per value, bit j
+#   of plane i set when the formula takes value i under valuation j.
+#   Every bit is set in exactly one of them, and a connective maps them
+#   through its index table with bitwise & and |, up to n*n pairs a node.
+# - Dunn's two planes (``DunnPlanes``), for M4 alone: each value is a
+#   pair of bits, told true and told false (Dunn, "Intuitive semantics
+#   for first-degree entailment and 'coupled trees'", 1976), 0 = (0,1),
+#   n = (0,0), b = (1,1), 1 = (1,0).  A formula is (T, F): T has bit j
+#   set where it takes b or 1, F where it takes 0 or b.  Then & is
+#   (T1&T2, F1|F2), | is (T1|T2, F1&F2), ~ is (F, T), # is (w, full^w)
+#   with w = T&~F, and bot is (0, full): two bitwise operations a node,
+#   and 2 * 4^k bits a formula against the one-hot 4 * 4^k.
+
+class _Kernel(dict):
+    """What both formats share: the variable masks, ``full`` (the mask
+    of all valuations), ``first`` and ``refuting``.  Each format maps a
+    formula to its planes, computed on first use by an iterative
+    post-order over the interned formula DAG that stops at the formulas
+    already held, and gives the mask of valuations where a formula
+    takes one of some value indices (``among``)."""
+
+    # the values are ``carrier``: ``values`` would hide ``dict.values``
+    __slots__ = ("names", "carrier", "full")
+
+    def __init__(self, names: Sequence[str], values: Sequence) -> None:
+        self.names, self.carrier = names, values
+        n, k = len(values), len(names)
+        size = n ** k
+        self.full = full = (1 << size) - 1
+        for i, name in enumerate(names):
+            # digit i of j counts runs of `step` bits, n runs to a period:
+            # value 0 on the first run of each period, value a a runs later.
+            # Built by doubling; dividing full by a repunit is quadratic.
+            step = n ** (k - 1 - i)
+            low, width = (1 << step) - 1, step * n
+            while width < size:
+                low |= low << width
+                width *= 2
+            low &= full
+            self[Var(name)] = self._variable([low << a * step for a in range(n)])
+
+    def first(self, mask: int) -> dict:
+        """The valuation of the lowest set bit of a non-empty mask, its
+        keys in the order of ``names``."""
+        j = (mask & -mask).bit_length() - 1
+        digits = []
+        for _ in self.names:
+            j, d = divmod(j, len(self.carrier))
+            digits.append(self.carrier[d])
+        return dict(zip(self.names, reversed(digits)))
+
+    def refuting(self, gamma: Iterable[Formula], delta: Iterable[Formula],
+                 m: LogicalMatrix) -> int:
+        """The valuations that designate every formula of gamma and none
+        of delta."""
+        designated = [i for i, v in enumerate(self.carrier) if v in m.designated]
+        mask = self.full
+        for f in gamma:
+            mask &= self.among(f, designated)
+        for f in delta:
+            mask &= ~self.among(f, designated)
+        return mask
+
+    def where(self, f: Formula, i: int) -> int:
+        """The valuations where f takes the value of index i."""
+        return self.among(f, (i,))
+
 
 def _apply1(table: Sequence[int], x: Sequence[int]) -> list[int]:
     out = [0] * len(x)
@@ -284,41 +352,20 @@ def _constant(i: int, n: int, full: int) -> list[int]:
     return out
 
 
-def _union(x: Sequence[int], indices: Iterable[int]) -> int:
-    out = 0
-    for i in indices:
-        out |= x[i]
-    return out
+class Planes(_Kernel):
+    """The one-hot value planes of formulas over all valuations of
+    ``names`` (sorted) into ``values``, under index tables as built by
+    ``LogicalMatrix.tables``: ``planes[f]`` is the tuple of f's n planes.
+    Any carrier and tables; ``value_planes`` picks it for all but M4."""
 
-
-class Planes(dict):
-    """The value planes of formulas over all valuations of ``names``
-    (sorted) into ``values``, under index tables as built by
-    ``LogicalMatrix.tables``: ``planes[f]`` is computed on first use, by
-    an iterative post-order over the interned formula DAG that stops at
-    the formulas already held.  ``full`` is the mask of all valuations;
-    the queries answer with masks of valuations."""
-
-    # the values are ``carrier``: ``values`` would hide ``dict.values``
-    __slots__ = ("names", "carrier", "tables", "full")
+    __slots__ = ("tables",)
 
     def __init__(self, names: Sequence[str], values: Sequence,
                  tables: Mapping[str, Sequence[int]]) -> None:
-        self.names, self.carrier, self.tables = names, values, tables
-        n, k = len(values), len(names)
-        size = n ** k
-        self.full = full = (1 << size) - 1
-        for i, name in enumerate(names):
-            # digit i of j counts runs of `step` bits, n runs to a period:
-            # value 0 on the first run of each period, value a a runs later.
-            # Built by doubling; dividing full by a repunit is quadratic.
-            step = n ** (k - 1 - i)
-            low, width = (1 << step) - 1, step * n
-            while width < size:
-                low |= low << width
-                width *= 2
-            low &= full
-            self[Var(name)] = tuple([low << a * step for a in range(n)])
+        self.tables = tables
+        super().__init__(names, values)
+
+    _variable = tuple
 
     def __missing__(self, root: Formula) -> tuple[int, ...]:
         n, tables = len(self.carrier), self.tables
@@ -356,27 +403,18 @@ class Planes(dict):
             self[f] = tuple(out)
         return self[root]
 
-    def first(self, mask: int) -> dict:
-        """The valuation of the lowest set bit of a non-empty mask, its
-        keys in the order of ``names``."""
-        j = (mask & -mask).bit_length() - 1
-        digits = []
-        for _ in self.names:
-            j, d = divmod(j, len(self.carrier))
-            digits.append(self.carrier[d])
-        return dict(zip(self.names, reversed(digits)))
+    def among(self, f: Formula, indices: Iterable[int]) -> int:
+        x, out = self[f], 0
+        for i in indices:
+            out |= x[i]
+        return out
 
-    def refuting(self, gamma: Iterable[Formula], delta: Iterable[Formula],
-                 m: LogicalMatrix) -> int:
-        """The valuations that designate every formula of gamma and none
-        of delta."""
-        designated = [i for i, v in enumerate(self.carrier) if v in m.designated]
-        mask = self.full
-        for f in gamma:
-            mask &= _union(self[f], designated)
-        for f in delta:
-            mask &= ~_union(self[f], designated)
-        return mask
+    def differ(self, f: Formula, g: Formula) -> int:
+        """The valuations where f and g take different values."""
+        out = 0
+        for a, b in zip(self[f], self[g]):
+            out |= a ^ b
+        return out
 
     def below(self, left: Iterable[Formula], right: Sequence[Formula], top: int,
               leq: Iterable[tuple[int, int]]) -> int:
@@ -395,6 +433,131 @@ class Planes(dict):
         return out
 
 
+_M4_TABLES = M4.tables()
+# M4's order as index pairs
+_M4_LEQ = frozenset((M4.index(a), M4.index(b)) for a, b in M4.order)
+# (told true, told false) of each value of M4, by index
+_BITS = ((0, 1), (0, 0), (1, 1), (1, 0))
+
+
+def _value_mask(t: int, f: int, i: int) -> int:
+    """Where planes (t, f) take the value of index i, and bits past
+    ``full`` where that value is told neither true nor false."""
+    told_true, told_false = _BITS[i]
+    return (t if told_true else ~t) & (f if told_false else ~f)
+
+
+class DunnPlanes(_Kernel):
+    """Dunn's two planes of formulas over all valuations of ``names``
+    (sorted) into M4's values: ``planes[f]`` is (T, F), the valuations
+    where f is told true and those where it is told false.  Queries
+    with M4's designated set and order take a few bitwise operations;
+    any other designated set or order is answered through the value
+    masks, so the answers are the one-hot ``Planes``' on every input."""
+
+    __slots__ = ()
+
+    def __init__(self, names: Sequence[str]) -> None:
+        super().__init__(names, M4.values)
+
+    @staticmethod
+    def _variable(runs: list[int]) -> tuple[int, int]:
+        return runs[2] | runs[3], runs[0] | runs[2]
+
+    def __missing__(self, root: Formula) -> tuple[int, int]:
+        full = self.full
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            if f in self:
+                stack.pop()
+                continue
+            t = type(f)
+            if t is And or t is Or:
+                x, y = self.get(f.left), self.get(f.right)
+                if x is None or y is None:
+                    if y is None:
+                        stack.append(f.right)
+                    if x is None:
+                        stack.append(f.left)
+                    continue
+                out = (x[0] & y[0], x[1] | y[1]) if t is And else (x[0] | y[0], x[1] & y[1])
+            elif t is Neg or t is Box:
+                x = self.get(f.child)
+                if x is None:
+                    stack.append(f.child)
+                    continue
+                if t is Neg:
+                    out = x[1], x[0]
+                else:
+                    w = x[0] & ~x[1]
+                    out = w, full ^ w
+            elif t is Bot:
+                out = 0, full
+            else:
+                raise MissingVariableError(f.name)
+            stack.pop()
+            self[f] = out
+        return self[root]
+
+    def among(self, f: Formula, indices: Iterable[int]) -> int:
+        x, out = self[f], 0
+        for i in indices:
+            out |= _value_mask(x[0], x[1], i)
+        return out & self.full
+
+    def refuting(self, gamma: Iterable[Formula], delta: Iterable[Formula],
+                 m: LogicalMatrix) -> int:
+        if m.designated != M4.designated:   # not {b, 1}, the told true
+            return super().refuting(gamma, delta, m)
+        mask = self.full
+        for f in gamma:
+            mask &= self[f][0]
+        for f in delta:
+            mask &= ~self[f][0]
+        return mask
+
+    def differ(self, f: Formula, g: Formula) -> int:
+        """The valuations where f and g take different values."""
+        x, y = self[f], self[g]
+        return (x[0] ^ y[0]) | (x[1] ^ y[1])
+
+    def below(self, left: Iterable[Formula], right: Sequence[Formula], top: int,
+              leq: Iterable[tuple[int, int]]) -> int:
+        """As ``Planes.below``.  In M4's truth order a value is below
+        another iff it is told true at most where the other is, and told
+        false at least where the other is."""
+        full = self.full
+        t, f = _BITS[top]
+        lo_t, lo_f = full if t else 0, full if f else 0
+        for g in left:
+            x = self[g]
+            lo_t &= x[0]
+            lo_f |= x[1]
+        hi_t, hi_f = self[right[0]]
+        for g in right[1:]:
+            x = self[g]
+            hi_t |= x[0]
+            hi_f &= x[1]
+        leq = frozenset(leq)
+        if leq == _M4_LEQ:
+            return full & (~lo_t | hi_t) & (~hi_f | lo_f)
+        out = 0
+        for a, b in leq:
+            out |= _value_mask(lo_t, lo_f, a) & _value_mask(hi_t, hi_f, b)
+        return out & full
+
+
+def value_planes(names: Sequence[str], values: Sequence,
+                 tables: Mapping[str, Sequence[int]]) -> Planes | DunnPlanes:
+    """The kernel for formulas over all valuations of ``names`` (sorted)
+    into ``values`` under index tables: Dunn's two planes where the
+    values and tables are M4's, the one-hot planes for any other."""
+    if (tables is _M4_TABLES or tables == _M4_TABLES) and tuple(values) == M4.values:
+        return DunnPlanes(names)
+    return Planes(names, values, tables)
+
+
 def matrix_consequence(gamma: Iterable[Formula], delta: Iterable[Formula],
                        m: LogicalMatrix = M4) -> bool:
     """True iff every valuation refutes some premise or accepts some
@@ -406,7 +569,7 @@ def countermodel(gamma: Iterable[Formula], delta: Iterable[Formula],
                  m: LogicalMatrix = M4) -> Optional[dict[str, TruthValue]]:
     """First refuting valuation in enumeration order, or None."""
     gamma, delta = list(gamma), list(delta)
-    planes = Planes(variables_of(gamma + delta), m.values, m.tables())
+    planes = value_planes(variables_of(gamma + delta), m.values, m.tables())
     mask = planes.refuting(gamma, delta, m)
     return planes.first(mask) if mask else None
 
@@ -416,10 +579,10 @@ def degree_consequence(gamma: Iterable[Formula], phi: Formula,
     """Degree-preserving consequence: under every valuation the meet of
     the premise values is below the conclusion value.  Empty premises
     require the conclusion to take the top value everywhere."""
-    gamma = list(gamma)
-    planes = Planes(variables_of(gamma + [phi]), m.values, m.tables())
-    if "and" not in planes.tables:
+    gamma, tables = list(gamma), m.tables()
+    if "and" not in tables:
         raise UnknownConnectiveError("and")
+    planes = value_planes(variables_of(gamma + [phi]), m.values, tables)
     top = m.index(m.top())
     leq = [(m.index(a), m.index(b)) for a, b in m.order]
     return planes.below(gamma, [phi], top, leq) == planes.full

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from .matrix import Planes
+from .matrix import value_planes
 from .proofs import CheckError, fold, from_json, passes, render, shared, to_json, walk
 from .record import Record
 from .search import Step, decide
@@ -584,7 +584,7 @@ def schema_counterexample(premises: list[tuple[list, list]],
     names = variables_of(f for left, right in [*premises, conclusion]
                          for f in itertools.chain(left, right))
     for alg in algebras:
-        planes, one = Planes(names, alg.carrier, alg.tables()), alg.carrier.index(alg.one)
+        planes, one = value_planes(names, alg.carrier, alg.tables()), alg.carrier.index(alg.one)
         mask = planes.full & ~planes.below(*conclusion, one, alg.leq_pairs)
         for left, right in premises:
             mask &= planes.below(left, right, one, alg.leq_pairs)

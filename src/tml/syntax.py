@@ -286,9 +286,17 @@ _TOKEN_RE = re.compile(_TOKEN)
 _TEXT_RE = re.compile(rf"(?:\s+|{_TOKEN})*")
 
 
-def _error(message: str, text: str, pos: int) -> SyntaxError_:
-    """The error at offset pos of the alias-expanded text."""
-    return SyntaxError_(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+def _error(message: str, typed: str, pos: int) -> SyntaxError_:
+    """The error at offset pos of the alias-expanded text, placed in the
+    text as typed: ``⊥`` and ``⇒`` expand to more than one character."""
+    expanded = 0
+    for at, c in enumerate(typed):
+        expanded += len(_ALIASES.get(c, c))
+        if expanded > pos:
+            break
+    else:
+        at = len(typed)
+    return SyntaxError_(message, typed.count("\n", 0, at) + 1, at - typed.rfind("\n", 0, at))
 
 
 def _offset(text: str, i: int) -> int:
@@ -308,12 +316,14 @@ def parse(text: str) -> Formula:
     strings, with "" for the end of input.  A loop reads them: each open
     parenthesis saves the state of the enclosing formula, its disjunction
     and conjunction so far and the prefixes before the parenthesis, on a
-    stack.  Lines and columns are computed only for an error."""
+    stack.  Lines and columns are computed only for an error, and
+    count the text as typed."""
+    typed = text
     for uni, repl in _ALIASES.items():
         text = text.replace(uni, repl)
     end = _TEXT_RE.match(text).end()
     if end < len(text):
-        raise _error(f"unexpected character {text[end]!r}", text, end)
+        raise _error(f"unexpected character {text[end]!r}", typed, end)
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")
     i = 0
@@ -338,7 +348,7 @@ def parse(text: str) -> Formula:
             f = Var(t)
         else:
             raise _error(f"expected a variable, 'bot' or '(', found {t or 'end of input'!r}",
-                         text, _offset(text, i - 1))
+                         typed, _offset(text, i - 1))
         while True:   # f is an atom: close every formula that ends after it
             for op in reversed(prefixes):
                 f = Neg(f) if op == "~" else Box(f)
@@ -352,11 +362,11 @@ def parse(text: str) -> Formula:
                 break
             if not outer:
                 if t:
-                    raise _error(f"unexpected trailing input {t!r}", text, _offset(text, i))
+                    raise _error(f"unexpected trailing input {t!r}", typed, _offset(text, i))
                 return disj
             if t != ")":
                 raise _error(f"expected ')', found {t or 'end of input'!r}",
-                             text, _offset(text, i))
+                             typed, _offset(text, i))
             i += 1
             f = disj
             disj, conj, prefixes = outer.pop()

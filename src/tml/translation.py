@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from .matrix import _CONNECTIVE, LogicalMatrix, M4, Planes
+from .matrix import _CONNECTIVE, LogicalMatrix, M4, value_planes
 from .record import Record
 from .sequents import Sequent, render_sequent
 from .signed import NSequent, SignedRule
@@ -59,8 +59,8 @@ class ExpressivenessSpec(Record):
     def condition_ii_holds(self, m: LogicalMatrix) -> bool:
         """Exhaustively: a formula takes value t iff all n_side instances
         are non-designated and all d_side instances designated.  The
-        templates over p suffice, bit i of their planes being p = value i."""
-        planes = Planes([PLACEHOLDER.name], m.values, m.tables())
+        templates over p suffice, bit i of a mask being p = value i."""
+        planes = value_planes([PLACEHOLDER.name], m.values, m.tables())
         for i, value in enumerate(m.values):
             vt = self.per_value[value]
             d_side = [t.body for t in vt.d_side]
@@ -144,12 +144,12 @@ def verify_two_equivalence(s: NSequent, spec: ExpressivenessSpec,
     once."""
     twos = two_of_nsequent(s, spec, m)
     names = variables_of(f for comp in s.components for f in comp)
-    planes = Planes(names, m.values, m.tables())
+    planes = value_planes(names, m.values, m.tables())
     # an n-sequent holds where some formula of component i takes value i
     lhs = 0
     for i, comp in enumerate(s.components):
         for f in comp:
-            lhs |= planes[f][i]
+            lhs |= planes.where(f, i)
     rhs = planes.full
     for t in twos:
         rhs &= ~planes.refuting(t.left, t.right, m)

@@ -136,13 +136,56 @@ def test_no_module_imports_dataclasses():
             assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
 
 
+_KERNELS = ("Planes", "DunnPlanes")
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _plane_format_breaches(tree):
+    """The lines of a module outside ``tml.matrix`` that import a private
+    name of it other than ``_CONNECTIVE``, build a kernel other than
+    through ``value_planes``, or subscript a kernel: ``planes``, or a
+    name or attribute assigned a value that calls ``value_planes``."""
+    kernels = {"planes"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            pairs = [(t, node.value) for t in node.targets]
+            while pairs:
+                target, value = pairs.pop()
+                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                    pairs += zip(target.elts, value.elts)
+                elif any(isinstance(n, ast.Call) and _name(n.func) == "value_planes"
+                         for n in ast.walk(value)):
+                    kernels.add(_name(target))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("matrix", "tml.matrix"):
+            private = {alias.name for alias in node.names if alias.name.startswith("_")}
+            if not private <= {"_CONNECTIVE"}:
+                yield node.lineno
+        elif isinstance(node, ast.Call) and _name(node.func) in _KERNELS:
+            yield node.lineno
+        elif isinstance(node, ast.Subscript) and _name(node.value) in kernels:
+            yield node.lineno
+
+
 def test_only_matrix_knows_the_plane_format():
-    # the value-plane kernel is tml.matrix.Planes; its helpers stay
-    # private to the module, and only the connective names are shared
+    # the value-plane kernels live in tml.matrix: their helpers stay
+    # private to the module and only the connective names are shared;
+    # other modules get a kernel from value_planes, the one place that
+    # picks a format, and ask it queries, never reading its planes
     for path in sorted((SRC / "tml").glob("*.py")):
-        if path.name == "matrix.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom) and node.module in ("matrix", "tml.matrix"):
-                private = {alias.name for alias in node.names if alias.name.startswith("_")}
-                assert private <= {"_CONNECTIVE"}, f"{path.name}:{node.lineno}"
+        if path.name != "matrix.py":
+            tree = ast.parse(path.read_text(), str(path))
+            assert list(_plane_format_breaches(tree)) == [], path.name
+
+
+def test_the_plane_format_guard_sees_each_breach():
+    tree = ast.parse("from .matrix import _apply2\n"
+                     "one_hot = Planes(names, m.values, m.tables())\n"
+                     "p, one = value_planes(names, m.values, m.tables()), 3\n"
+                     "lhs = p[f][i]\n"
+                     "rhs = planes[f]\n"
+                     "fine = {}[f]\n")
+    assert sorted(_plane_format_breaches(tree)) == [1, 2, 4, 5]

@@ -5,10 +5,12 @@ the kernel: the queries must return the same verdicts and the same
 witnesses, with their keys in the same order.  (The verdicts of
 ``rule_soundness`` are pinned by ``test_sc.py``.)  The property tests
 compare the queries with a pointwise loop over ``evaluate``, written
-here, on M4 and on a three-valued matrix.
+here, on M4 and on a three-valued matrix, and Dunn's two planes, which
+answer M4, with the one-hot planes.
 """
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -16,14 +18,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tml.algebra import algebra_evaluate, m4_algebra, product_algebra
-from tml.matrix import (M4, Planes, UnknownConnectiveError, countermodel,
-                        degree_consequence, evaluate, matrix_consequence,
-                        matrix_from_json, matrix_to_json, satisfies, valuations)
+from tml.matrix import (M4, DunnPlanes, Planes, UnknownConnectiveError,
+                        bundled_m4_path, countermodel, degree_consequence,
+                        evaluate, load_matrix, matrix_consequence,
+                        matrix_from_json, matrix_to_json, satisfies,
+                        value_planes, valuations)
 from tml.sc import _SOUNDNESS_SCHEMA, schema_counterexample
 from tml.sequents import Sequent, sequent_satisfied
 from tml.signed import NSequent
 from tml.syntax import (BOT, PLACEHOLDER, And, Box, FormulaTemplate, Neg, Or,
-                        Var, variables)
+                        Var, parse, variables)
 from tml.translation import (ExpressivenessSpec, ValueTemplates, m4_spec,
                              verify_two_equivalence)
 
@@ -249,10 +253,11 @@ MATRICES = pytest.mark.parametrize("m", [M4, THREE], ids=["M4", "three"])
 
 
 @st.composite
-def _queries(draw, max_leaves=5):
-    """(gamma, delta, phi) over the first 0-4 of p, q, r, s."""
-    k = draw(st.integers(0, 4))
-    atoms = st.sampled_from([BOT] + [Var(x) for x in "pqrs"[:k]])
+def _queries(draw, max_leaves=5, max_vars=4):
+    """(gamma, delta, phi) over the first 0 to ``max_vars`` of p, q, r,
+    s, t, u."""
+    k = draw(st.integers(0, max_vars))
+    atoms = st.sampled_from([BOT] + [Var(x) for x in "pqrstu"[:k]])
     fs = st.recursive(atoms, lambda sub: st.one_of(
         sub.map(Neg), sub.map(Box),
         st.tuples(sub, sub).map(lambda t: And(*t)),
@@ -373,3 +378,66 @@ def test_deep_conjunction_chain():
     assert not sequent_satisfied(cm, Sequent.of([chain], [r]))
     assert degree_consequence([chain], p)
     assert not degree_consequence([chain], r)
+
+
+# ---------------------------------------------------------------------------
+# Dunn's two planes against the one-hot planes
+
+# M4's values and tables with designated {1} and the chain 0 < n < b < 1:
+# the two planes answer these through their value masks
+M4_OTHER_ORDER = matrix_from_json({**matrix_to_json(M4), "designated": ["1"],
+                                   "order": [["0", "n"], ["n", "b"], ["b", "1"]]})
+
+
+@pytest.mark.parametrize("m", [M4, load_matrix(bundled_m4_path()), M4_OTHER_ORDER],
+                         ids=["M4", "m4.json", "other-order"])
+@settings(max_examples=150, deadline=None)
+@given(_queries(max_leaves=8, max_vars=6))
+def test_dunn_planes_agree_with_the_one_hot_planes(m, query):
+    gamma, delta, phi = query
+    fs = gamma + delta + [phi]
+    names = sorted(_names(fs))
+    dunn = value_planes(names, m.values, m.tables())
+    assert type(dunn) is DunnPlanes
+    one_hot = Planes(names, m.values, m.tables())
+    assert dunn.full == one_hot.full
+    for f in fs:
+        for i in range(4):
+            assert dunn.where(f, i) == one_hot[f][i]
+        assert dunn.differ(f, phi) == one_hot.differ(f, phi)
+    mask = dunn.refuting(gamma, delta, m)
+    assert mask == one_hot.refuting(gamma, delta, m)
+    if mask:
+        assert list(dunn.first(mask).items()) == list(one_hot.first(mask).items())
+    leq = [(m.index(a), m.index(b)) for a, b in m.order]
+    for top in range(4):
+        assert dunn.below(gamma, [phi, *delta], top, leq) == \
+            one_hot.below(gamma, [phi, *delta], top, leq)
+
+
+def test_m4_in_any_form_gets_the_two_planes():
+    alg = m4_algebra(load_matrix(bundled_m4_path()))
+    assert type(value_planes(["p"], alg.carrier, alg.tables())) is DunnPlanes
+    assert type(value_planes(["p"], M4.values, M4.tables())) is DunnPlanes
+
+
+def test_other_carriers_and_tables_get_the_one_hot_planes():
+    # a single-entry mutant of M4, M4's values with n and b swapped (the
+    # same index tables, as n and b are symmetric in M4) and the
+    # 16-element square; answers checked with the pointwise evaluator
+    base = m4_algebra()
+    mutant = matrix_to_json(M4)
+    mutant["connectives"]["and"]["table"]["n,b"] = "n"
+    reordered = {**matrix_to_json(M4), "values": ["0", "b", "n", "1"]}
+    algebras = [m4_algebra(matrix_from_json(mutant)),
+                m4_algebra(matrix_from_json(reordered)),
+                product_algebra(base, base)]
+    formulas = [parse(t) for t in ("p & q", "q | ~#p", "#(p & ~q) | q & p",
+                                   "~(q & bot) & (p | #q)")]
+    for alg in algebras:
+        planes = value_planes(["p", "q"], alg.carrier, alg.tables())
+        assert type(planes) is Planes
+        for f in formulas:
+            for j, (a, b) in enumerate(itertools.product(alg.carrier, repeat=2)):
+                got = algebra_evaluate(f, {"p": a, "q": b}, alg)
+                assert planes.where(f, alg.carrier.index(got)) >> j & 1, (f, a, b)

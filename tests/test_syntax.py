@@ -168,18 +168,28 @@ PIECES = ["p", "q", "bot", "~", "#", "&", "|", "(", ")", " ", "\n", "¬", "∨",
           "@", "x1"]
 
 
-@given(st.lists(st.one_of(st.sampled_from(PIECES), st.characters()), max_size=16))
+@given(st.lists(st.one_of(st.sampled_from(PIECES + ["⊥", "⇒"]), st.characters()),
+                max_size=16))
 def test_parse_returns_a_formula_or_a_positioned_error(pieces):
     text = "".join(pieces)
     try:
         f = parse(text)
     except SyntaxError_ as e:
-        # positions count the text with its aliases spelled out
-        lines = text.replace("⊥", "bot").replace("⇒", "=>").split("\n")
+        # positions count the text as typed
+        lines = text.split("\n")
         assert 1 <= e.line <= len(lines)
         assert 1 <= e.column <= len(lines[e.line - 1]) + 1
     else:
         assert parse(f.text) is f
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("⊥ ⊥", 1, 3), ("p ∧ ⊥ )", 1, 7), ("⊥⇒p", 1, 2), ("⊥ &\n⊥ ⊥", 2, 3),
+    ("⊥ & (", 1, 6)])
+def test_an_error_after_an_alias_is_placed_in_the_typed_text(text, line, column):
+    with pytest.raises(SyntaxError_) as e:
+        parse(text)
+    assert (e.value.line, e.value.column) == (line, column)
 
 
 def _parse_outcomes():
