@@ -18,8 +18,7 @@ import sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "algebra": ("Algebra", "algebra_evaluate", "check_tma_laws", "m4_algebra",
-                "product_algebra"),
+    "algebra": ("check_tma_laws", "product_algebra"),
     "gcalc": ("GProof", "GRule", "GSequent", "check_g_proof", "cut_necessity_probe",
               "g_search_cutfree"),
     "matrix": ("LogicalMatrix", "M4", "countermodel", "degree_consequence", "evaluate",

@@ -1,123 +1,49 @@
 """Tetravalent modal algebras and their laws, checked on the kernel.
 
-An algebra here is a finite carrier with meet, join, an involutive
-negation, a necessity operator and a bottom constant.  The laws are
-formula texts that ``check_tma_laws`` evaluates under every assignment
-at once with the value-plane kernel of ``matrix``; ``algebra_evaluate``
-is the pointwise evaluator the tests compare the kernel with.
+An algebra here is a ``LogicalMatrix``: a finite carrier with meet
+(``and``), join (``or``), an involutive negation (``neg``), a necessity
+operator (``box``) and a bottom constant (``bot``), with a designated set
+and an order that the laws do not read.  M4 is one, read as an algebra
+and as a matrix with b and 1 designated, and ``product_algebra`` builds
+its powers.  The laws are formula texts that ``check_tma_laws``
+evaluates under every assignment at once with the value-plane kernel of
+``matrix``; ``matrix.evaluate`` is the pointwise evaluator the tests
+compare the kernel with.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property
-from typing import Hashable, Mapping, Optional
+from functools import cache
+from typing import Hashable, Optional
 
-from .matrix import M4, LogicalMatrix, value_planes
+from .matrix import LogicalMatrix, Operation, value_planes
 from .record import Record
-from .syntax import And, Bot, Formula, Neg, Or, Var, parse, variables_of
+from .syntax import Formula, parse, variables_of
 
-__all__ = [
-    "Algebra", "LawCheck", "TmaLawReport", "m4_algebra", "product_algebra",
-    "check_tma_laws", "algebra_evaluate",
-]
+__all__ = ["LawCheck", "TmaLawReport", "product_algebra", "check_tma_laws"]
 
 Element = Hashable
 
 
-class Algebra(Record):
-    """Finite algebra with meet, join, negation, box and bottom."""
-
-    carrier: tuple[Element, ...]
-    meet: Mapping[tuple[Element, Element], Element]
-    join: Mapping[tuple[Element, Element], Element]
-    neg: Mapping[Element, Element]
-    box: Mapping[Element, Element]
-    zero: Element
-
-    @property
-    def one(self) -> Element:
-        return self.neg[self.zero]
-
-    def leq(self, a: Element, b: Element) -> bool:
-        return self.meet[(a, b)] == a
-
-    def tables(self) -> dict[str, tuple[int, ...]]:
-        """The operations as flat index tables into the carrier, the form
-        ``LogicalMatrix.tables`` gives the value-plane kernel; built on
-        first use."""
-        return self._tables
-
-    @cached_property
-    def _tables(self) -> dict[str, tuple[int, ...]]:
-        idx = {e: i for i, e in enumerate(self.carrier)}
-        pairs = list(itertools.product(self.carrier, repeat=2))
-        return {"and": tuple(idx[self.meet[p]] for p in pairs),
-                "or": tuple(idx[self.join[p]] for p in pairs),
-                "neg": tuple(idx[self.neg[e]] for e in self.carrier),
-                "box": tuple(idx[self.box[e]] for e in self.carrier),
-                "bot": (idx[self.zero],)}
-
-    @cached_property
-    def leq_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The order as index pairs (i, j), carrier[i] <= carrier[j]."""
-        pairs = itertools.product(range(len(self.carrier)), repeat=2)
-        return tuple((i, j) for i, j in pairs if self.leq(self.carrier[i], self.carrier[j]))
-
-
-def m4_algebra(m: LogicalMatrix = M4) -> Algebra:
-    return Algebra(
-        carrier=m.values,
-        meet={k: v for k, v in m.ops["and"].table.items()},
-        join={k: v for k, v in m.ops["or"].table.items()},
-        neg={k[0]: v for k, v in m.ops["neg"].table.items()},
-        box={k[0]: v for k, v in m.ops["box"].table.items()},
-        zero=m.ops["bot"].table[()],
-    )
-
-
-def product_algebra(a: Algebra, b: Algebra) -> Algebra:
-    """Componentwise product; carrier elements are pairs."""
-    carrier = tuple(itertools.product(a.carrier, b.carrier))
-    return Algebra(
-        carrier=carrier,
-        meet={((x1, y1), (x2, y2)): (a.meet[(x1, x2)], b.meet[(y1, y2)])
-              for (x1, y1), (x2, y2) in itertools.product(carrier, repeat=2)},
-        join={((x1, y1), (x2, y2)): (a.join[(x1, x2)], b.join[(y1, y2)])
-              for (x1, y1), (x2, y2) in itertools.product(carrier, repeat=2)},
-        neg={(x, y): (a.neg[x], b.neg[y]) for x, y in carrier},
-        box={(x, y): (a.box[x], b.box[y]) for x, y in carrier},
-        zero=(a.zero, b.zero),
-    )
-
-
-def algebra_evaluate(f: Formula, assignment: Mapping[str, Element], alg: Algebra) -> Element:
-    """Evaluate a formula under a variable assignment into the algebra;
-    iterative, walking the formula as ``matrix.evaluate`` does."""
-    # (table, pending right child | (left value,) | None for unary)
-    stack: list[tuple[Mapping, object]] = []
-    g = f
-    while True:
-        while type(g) is not Var and type(g) is not Bot:
-            if type(g) is And or type(g) is Or:
-                stack.append((alg.meet if type(g) is And else alg.join, g.right))
-                g = g.left
-            else:
-                stack.append((alg.neg if type(g) is Neg else alg.box, None))
-                g = g.child
-        val = assignment[g.name] if type(g) is Var else alg.zero
-        while stack:
-            table, right = stack.pop()
-            if right is None:
-                val = table[val]
-            elif type(right) is tuple:
-                val = table[(right[0], val)]
-            else:
-                stack.append((table, (val,)))
-                g = right
-                break
-        else:
-            return val
+def product_algebra(a: LogicalMatrix, b: LogicalMatrix) -> LogicalMatrix:
+    """Componentwise product of two matrices with the same connectives.
+    Its values are pairs, in ``itertools.product`` order; each
+    connective acts on each coordinate; a pair is designated when both
+    coordinates are; and the order is componentwise, or None when a
+    factor has none."""
+    values = tuple(itertools.product(a.values, b.values))
+    ops = {}
+    for name, op in a.ops.items():
+        other = b.ops[name]
+        ops[name] = Operation(op.arity, {
+            args: (op.table[tuple(x for x, _ in args)], other.table[tuple(y for _, y in args)])
+            for args in itertools.product(values, repeat=op.arity)})
+    designated = frozenset(v for v in values if v[0] in a.designated and v[1] in b.designated)
+    order = None
+    if a.order is not None and b.order is not None:
+        order = frozenset(((x1, y1), (x2, y2)) for x1, x2 in a.order for y1, y2 in b.order)
+    return LogicalMatrix(values, designated, ops, order, a.connective_order)
 
 
 class LawCheck(Record):
@@ -203,7 +129,7 @@ def _parsed_laws() -> tuple[tuple[str, list[tuple[Formula, Formula]]], ...]:
     return tuple(laws)
 
 
-def check_tma_laws(alg: Algebra) -> TmaLawReport:
+def check_tma_laws(m: LogicalMatrix) -> TmaLawReport:
     """Check every law under all assignments at once: an equation fails
     where its sides take different values, a law where its premises hold
     and its conclusion fails.  A failure carries its first failing
@@ -211,7 +137,7 @@ def check_tma_laws(alg: Algebra) -> TmaLawReport:
     checks = []
     for name, equations in _parsed_laws():
         names = variables_of(f for sides in equations for f in sides)
-        planes = value_planes(names, alg.carrier, alg.tables())
+        planes = value_planes(names, m)
         *premises, fails = [planes.differ(x, y) for x, y in equations]
         for mask in premises:
             fails &= ~mask

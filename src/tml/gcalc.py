@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .matrix import (M4, DunnPlanes, MissingVariableError, Planes, matrix_consequence,
                      render_valuation, value_planes)
-from .proofs import CheckError, from_json, passes, render, shared, to_json, walk
+from .proofs import CheckError, from_json, passes, render, shared, to_json, tree_eq, walk
 from .record import Record
 from .sc import is_cut_free, prove
 from .sequents import Sequent, sequent_satisfied, side_texts
@@ -97,11 +97,7 @@ class GProof(Record):
         object.__setattr__(self, "sequent", sequent)
         object.__setattr__(self, "premises", premises)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.rule, self.sequent, self.premises)
-                    == (other.rule, other.sequent, other.premises))
-        return NotImplemented
+    __eq__ = tree_eq
 
     def __hash__(self) -> int:
         return hash((self.rule, self.sequent, self.premises))
@@ -296,13 +292,13 @@ class _Refuter:
 
     def __init__(self, goal: GSequent):
         names = variables_of([*goal.left, goal.right])
-        self.planes = (value_planes(names, M4.values, M4.tables())
+        self.planes = (value_planes(names, M4)
                        if len(names) <= _PRUNE_MAX_VARS else None)
 
     def __call__(self, seq: GSequent) -> int:
         if self.planes is None:
             return -1
-        mask = self.planes.refuting(seq.left, [seq.right], M4)
+        mask = self.planes.refuting(seq.left, [seq.right])
         return (mask & -mask).bit_length() - 1
 
 

@@ -258,7 +258,7 @@ def valuations(vars: Iterable[str], m: LogicalMatrix = M4) -> list[dict[str, Tru
 # something of its value under valuation j, and answers queries with
 # masks of valuations.  Two formats, picked by ``value_planes``:
 #
-# - one-hot (``Planes``), for any carrier: n ints, one per value, bit j
+# - one-hot (``Planes``), for any matrix: n ints, one per value, bit j
 #   of plane i set when the formula takes value i under valuation j.
 #   Every bit is set in exactly one of them, and a connective maps them
 #   through its index table with bitwise & and |, up to n*n pairs a node.
@@ -272,19 +272,19 @@ def valuations(vars: Iterable[str], m: LogicalMatrix = M4) -> list[dict[str, Tru
 #   and 2 * 4^k bits a formula against the one-hot 4 * 4^k.
 
 class _Kernel(dict):
-    """What both formats share: the variable masks, ``full`` (the mask
-    of all valuations), ``first`` and ``refuting``.  Each format maps a
-    formula to its planes, computed on first use by an iterative
+    """What both formats share: the matrix ``m``, the variable masks,
+    ``full`` (the mask of all valuations) and ``first``.  Each format
+    maps a formula to its planes, computed on first use by an iterative
     post-order over the interned formula DAG that stops at the formulas
-    already held, and gives the mask of valuations where a formula
-    takes one of some value indices (``among``)."""
+    already held; gives the mask of valuations where a formula takes one
+    of some value indices (``among``); and answers ``refuting`` and
+    ``below`` with the designated set, the top and the order of ``m``."""
 
-    # the values are ``carrier``: ``values`` would hide ``dict.values``
-    __slots__ = ("names", "carrier", "full")
+    __slots__ = ("names", "m", "full")
 
-    def __init__(self, names: Sequence[str], values: Sequence) -> None:
-        self.names, self.carrier = names, values
-        n, k = len(values), len(names)
+    def __init__(self, names: Sequence[str], m: LogicalMatrix) -> None:
+        self.names, self.m = names, m
+        n, k = len(m.values), len(names)
         size = n ** k
         self.full = full = (1 << size) - 1
         for i, name in enumerate(names):
@@ -302,24 +302,13 @@ class _Kernel(dict):
     def first(self, mask: int) -> dict:
         """The valuation of the lowest set bit of a non-empty mask, its
         keys in the order of ``names``."""
+        values = self.m.values
         j = (mask & -mask).bit_length() - 1
         digits = []
         for _ in self.names:
-            j, d = divmod(j, len(self.carrier))
-            digits.append(self.carrier[d])
+            j, d = divmod(j, len(values))
+            digits.append(values[d])
         return dict(zip(self.names, reversed(digits)))
-
-    def refuting(self, gamma: Iterable[Formula], delta: Iterable[Formula],
-                 m: LogicalMatrix) -> int:
-        """The valuations that designate every formula of gamma and none
-        of delta."""
-        designated = [i for i, v in enumerate(self.carrier) if v in m.designated]
-        mask = self.full
-        for f in gamma:
-            mask &= self.among(f, designated)
-        for f in delta:
-            mask &= ~self.among(f, designated)
-        return mask
 
     def where(self, f: Formula, i: int) -> int:
         """The valuations where f takes the value of index i."""
@@ -354,21 +343,26 @@ def _constant(i: int, n: int, full: int) -> list[int]:
 
 class Planes(_Kernel):
     """The one-hot value planes of formulas over all valuations of
-    ``names`` (sorted) into ``values``, under index tables as built by
-    ``LogicalMatrix.tables``: ``planes[f]`` is the tuple of f's n planes.
-    Any carrier and tables; ``value_planes`` picks it for all but M4."""
+    ``names`` (sorted) into the values of ``m``, under its index tables
+    (``LogicalMatrix.tables``): ``planes[f]`` is the tuple of f's n
+    planes.  Any matrix; ``value_planes`` picks it for all but M4."""
 
     __slots__ = ("tables",)
 
-    def __init__(self, names: Sequence[str], values: Sequence,
-                 tables: Mapping[str, Sequence[int]]) -> None:
-        self.tables = tables
-        super().__init__(names, values)
+    def __init__(self, names: Sequence[str], m: LogicalMatrix) -> None:
+        self.tables = m.tables()
+        super().__init__(names, m)
 
     _variable = tuple
 
+    def _table(self, name: str) -> Sequence[int]:
+        table = self.tables.get(name)
+        if table is None:
+            raise UnknownConnectiveError(name)
+        return table
+
     def __missing__(self, root: Formula) -> tuple[int, ...]:
-        n, tables = len(self.carrier), self.tables
+        n = len(self.m.values)
         stack = [root]
         while stack:
             f = stack[-1]
@@ -378,10 +372,7 @@ class Planes(_Kernel):
             t = type(f)
             if t is Var:
                 raise MissingVariableError(f.name)
-            name = _CONNECTIVE[t]
-            table = tables.get(name)
-            if table is None:
-                raise UnknownConnectiveError(name)
+            table = self._table(_CONNECTIVE[t])
             if t is Bot:
                 out = _constant(table[0], n, self.full)
             elif t is Neg or t is Box:
@@ -409,6 +400,18 @@ class Planes(_Kernel):
             out |= x[i]
         return out
 
+    def refuting(self, gamma: Iterable[Formula], delta: Iterable[Formula]) -> int:
+        """The valuations that designate every formula of gamma and none
+        of delta."""
+        m = self.m
+        designated = [i for i, v in enumerate(m.values) if v in m.designated]
+        mask = self.full
+        for f in gamma:
+            mask &= self.among(f, designated)
+        for f in delta:
+            mask &= ~self.among(f, designated)
+        return mask
+
     def differ(self, f: Formula, g: Formula) -> int:
         """The valuations where f and g take different values."""
         out = 0
@@ -416,49 +419,35 @@ class Planes(_Kernel):
             out |= a ^ b
         return out
 
-    def below(self, left: Iterable[Formula], right: Sequence[Formula], top: int,
-              leq: Iterable[tuple[int, int]]) -> int:
+    def below(self, left: Iterable[Formula], right: Sequence[Formula]) -> int:
         """The valuations where the meet of ``left``, starting from the
-        value of index ``top``, is below the join of the non-empty
-        ``right``, for the index pairs ``leq`` of an order."""
-        lo = _constant(top, len(self.carrier), self.full)
+        top value, is below the join of the non-empty ``right``, in the
+        order of the matrix."""
+        m, meet = self.m, self._table("and")
+        lo = _constant(m.index(m.top()), len(m.values), self.full)
         for f in left:
-            lo = _apply2(self.tables["and"], lo, self[f])
+            lo = _apply2(meet, lo, self[f])
         hi = self[right[0]]
         for f in right[1:]:
-            hi = _apply2(self.tables["or"], hi, self[f])
+            hi = _apply2(self._table("or"), hi, self[f])
         out = 0
-        for a, b in leq:
-            out |= lo[a] & hi[b]
+        for a, b in m.order:
+            out |= lo[m.index(a)] & hi[m.index(b)]
         return out
 
 
-_M4_TABLES = M4.tables()
-# M4's order as index pairs
-_M4_LEQ = frozenset((M4.index(a), M4.index(b)) for a, b in M4.order)
 # (told true, told false) of each value of M4, by index
 _BITS = ((0, 1), (0, 0), (1, 1), (1, 0))
-
-
-def _value_mask(t: int, f: int, i: int) -> int:
-    """Where planes (t, f) take the value of index i, and bits past
-    ``full`` where that value is told neither true nor false."""
-    told_true, told_false = _BITS[i]
-    return (t if told_true else ~t) & (f if told_false else ~f)
 
 
 class DunnPlanes(_Kernel):
     """Dunn's two planes of formulas over all valuations of ``names``
     (sorted) into M4's values: ``planes[f]`` is (T, F), the valuations
-    where f is told true and those where it is told false.  Queries
-    with M4's designated set and order take a few bitwise operations;
-    any other designated set or order is answered through the value
-    masks, so the answers are the one-hot ``Planes``' on every input."""
+    where f is told true and those where it is told false.  M4's
+    designated set is the told true, and its order reads off the two
+    planes, so every query takes a few bitwise operations a formula."""
 
     __slots__ = ()
-
-    def __init__(self, names: Sequence[str]) -> None:
-        super().__init__(names, M4.values)
 
     @staticmethod
     def _variable(runs: list[int]) -> tuple[int, int]:
@@ -501,15 +490,14 @@ class DunnPlanes(_Kernel):
         return self[root]
 
     def among(self, f: Formula, indices: Iterable[int]) -> int:
-        x, out = self[f], 0
-        for i in indices:
-            out |= _value_mask(x[0], x[1], i)
+        (t, u), out = self[f], 0
+        for i in indices:   # bits past full where told neither true nor false
+            told_true, told_false = _BITS[i]
+            out |= (t if told_true else ~t) & (u if told_false else ~u)
         return out & self.full
 
-    def refuting(self, gamma: Iterable[Formula], delta: Iterable[Formula],
-                 m: LogicalMatrix) -> int:
-        if m.designated != M4.designated:   # not {b, 1}, the told true
-            return super().refuting(gamma, delta, m)
+    def refuting(self, gamma: Iterable[Formula], delta: Iterable[Formula]) -> int:
+        """As ``Planes.refuting``: M4 designates b and 1, the told true."""
         mask = self.full
         for f in gamma:
             mask &= self[f][0]
@@ -522,14 +510,13 @@ class DunnPlanes(_Kernel):
         x, y = self[f], self[g]
         return (x[0] ^ y[0]) | (x[1] ^ y[1])
 
-    def below(self, left: Iterable[Formula], right: Sequence[Formula], top: int,
-              leq: Iterable[tuple[int, int]]) -> int:
-        """As ``Planes.below``.  In M4's truth order a value is below
-        another iff it is told true at most where the other is, and told
-        false at least where the other is."""
+    def below(self, left: Iterable[Formula], right: Sequence[Formula]) -> int:
+        """As ``Planes.below``.  M4's top, 1, is told true and not told
+        false, and in its order a value is below another iff it is told
+        true at most where the other is, and told false at least where
+        the other is."""
         full = self.full
-        t, f = _BITS[top]
-        lo_t, lo_f = full if t else 0, full if f else 0
+        lo_t, lo_f = full, 0
         for g in left:
             x = self[g]
             lo_t &= x[0]
@@ -539,23 +526,17 @@ class DunnPlanes(_Kernel):
             x = self[g]
             hi_t |= x[0]
             hi_f &= x[1]
-        leq = frozenset(leq)
-        if leq == _M4_LEQ:
-            return full & (~lo_t | hi_t) & (~hi_f | lo_f)
-        out = 0
-        for a, b in leq:
-            out |= _value_mask(lo_t, lo_f, a) & _value_mask(hi_t, hi_f, b)
-        return out & full
+        return full & (~lo_t | hi_t) & (~hi_f | lo_f)
 
 
-def value_planes(names: Sequence[str], values: Sequence,
-                 tables: Mapping[str, Sequence[int]]) -> Planes | DunnPlanes:
+def value_planes(names: Sequence[str], m: LogicalMatrix) -> Planes | DunnPlanes:
     """The kernel for formulas over all valuations of ``names`` (sorted)
-    into ``values`` under index tables: Dunn's two planes where the
-    values and tables are M4's, the one-hot planes for any other."""
-    if (tables is _M4_TABLES or tables == _M4_TABLES) and tuple(values) == M4.values:
-        return DunnPlanes(names)
-    return Planes(names, values, tables)
+    into the matrix m: Dunn's two planes where m is M4 (equal to it, as
+    the bundled ``data/m4.json`` loads), the one-hot planes for any
+    other, M4's tables with another designated set or order included."""
+    if m is M4 or m == M4:
+        return DunnPlanes(names, m)
+    return Planes(names, m)
 
 
 def matrix_consequence(gamma: Iterable[Formula], delta: Iterable[Formula],
@@ -569,8 +550,8 @@ def countermodel(gamma: Iterable[Formula], delta: Iterable[Formula],
                  m: LogicalMatrix = M4) -> Optional[dict[str, TruthValue]]:
     """First refuting valuation in enumeration order, or None."""
     gamma, delta = list(gamma), list(delta)
-    planes = value_planes(variables_of(gamma + delta), m.values, m.tables())
-    mask = planes.refuting(gamma, delta, m)
+    planes = value_planes(variables_of(gamma + delta), m)
+    mask = planes.refuting(gamma, delta)
     return planes.first(mask) if mask else None
 
 
@@ -579,13 +560,9 @@ def degree_consequence(gamma: Iterable[Formula], phi: Formula,
     """Degree-preserving consequence: under every valuation the meet of
     the premise values is below the conclusion value.  Empty premises
     require the conclusion to take the top value everywhere."""
-    gamma, tables = list(gamma), m.tables()
-    if "and" not in tables:
-        raise UnknownConnectiveError("and")
-    planes = value_planes(variables_of(gamma + [phi]), m.values, tables)
-    top = m.index(m.top())
-    leq = [(m.index(a), m.index(b)) for a, b in m.order]
-    return planes.below(gamma, [phi], top, leq) == planes.full
+    gamma = list(gamma)
+    planes = value_planes(variables_of(gamma + [phi]), m)
+    return planes.below(gamma, [phi]) == planes.full
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import sc
-from .proofs import CheckError, fold, from_json, render, shared, to_json, walk
+from .proofs import CheckError, fold, from_json, render, shared, to_json, tree_eq, walk
 from .record import Record
 from .sc import ScProof, ScRule
 from .sequents import Sequent
@@ -89,12 +89,7 @@ class NDDeduction(Record):
         object.__setattr__(self, "marker", marker)
         object.__setattr__(self, "discharges", discharges)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.rule, self.conclusion, self.premises, self.marker, self.discharges)
-                    == (other.rule, other.conclusion, other.premises, other.marker,
-                        other.discharges))
-        return NotImplemented
+    __eq__ = tree_eq
 
     def __hash__(self) -> int:
         return hash((self.rule, self.conclusion, self.premises, self.marker, self.discharges))

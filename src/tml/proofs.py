@@ -7,7 +7,7 @@ of nodes; ``json_fields(memo)``, its JSON object with an empty
 memo)``, which reads those fields and returns the builder of the node
 from its premises; and ``label()``, its line of text.  The memo lasts
 one ``to_json`` or ``from_json`` call (see ``shared``).  The rest is
-here, all iterative.
+here, all iterative, the classes' ``__eq__`` (``tree_eq``) included.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 
-__all__ = ["Path", "CheckError", "passes", "walk", "fold", "shared", "to_json", "dumps",
-           "dump_chunks", "from_json", "render"]
+__all__ = ["Path", "CheckError", "passes", "walk", "fold", "tree_eq", "shared", "to_json",
+           "dumps", "dump_chunks", "from_json", "render"]
 
 Path = tuple[int, ...]   # premise indices from the root down to a node
 
@@ -87,6 +87,25 @@ def fold(root: Any, combine: Callable[[Any, list], Any]) -> Any:
             del done[start:]
             done.append(result)
     return done[0]
+
+
+def tree_eq(a: Any, b: Any) -> Any:
+    """``a == b`` for proof nodes of one class: both trees walked on an
+    explicit stack, each pair of nodes compared by class, by every field
+    but ``premises`` and by premise count, so that equality does not
+    recurse at any height.  A subtree shared by both is not walked."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if (y.__class__ is not x.__class__ or len(x.premises) != len(y.premises)
+                or any(getattr(x, f) != getattr(y, f) for f in x._fields if f != "premises")):
+            return False
+        stack += zip(x.premises, y.premises)
+    return True
 
 
 def shared(memo: dict, key: Hashable, make: Callable[[Any], Any]) -> Any:

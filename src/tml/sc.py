@@ -16,18 +16,15 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import cache, partial
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .matrix import value_planes
-from .proofs import CheckError, fold, from_json, passes, render, shared, to_json, walk
+from .matrix import M4, LogicalMatrix, value_planes
+from .proofs import CheckError, fold, from_json, passes, render, shared, to_json, tree_eq, walk
 from .record import Record
 from .search import Step, decide
 from .sequents import Sequent, render_sequent, side_texts
 from .syntax import (And, Box, Formula, Neg, Or, Var, formula_key, mentions_bot, parse,
                      variables_of)
-
-if TYPE_CHECKING:
-    from .algebra import Algebra
 
 __all__ = [
     "ScRule", "ScProof", "ScCheckError", "check_sc_proof", "verify_sc_proof",
@@ -74,11 +71,7 @@ class ScProof(Record):
         object.__setattr__(self, "principal", principal)
         object.__setattr__(self, "premises", premises)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.rule, self.sequent, self.principal, self.premises)
-                    == (other.rule, other.sequent, other.principal, other.premises))
-        return NotImplemented
+    __eq__ = tree_eq
 
     def __hash__(self) -> int:
         return hash((self.rule, self.sequent, self.principal, self.premises))
@@ -552,42 +545,34 @@ _SOUNDNESS_SCHEMA: dict[ScRule, tuple[list[tuple[list, list]], tuple[list, list]
 }
 
 
-@cache
-def _m4() -> Algebra:
-    from .algebra import m4_algebra
-    return m4_algebra()
-
-
 def schema_counterexample(premises: list[tuple[list, list]],
                           conclusion: tuple[list, list],
-                          algebras: Optional[Sequence[Algebra]] = None,
+                          matrices: Sequence[LogicalMatrix] = (M4,),
                           ) -> Optional[dict]:
-    """The first assignment, algebra by algebra in enumeration order,
+    """The first assignment, matrix by matrix in enumeration order,
     where every premise inequality meet(left) <= join(right) holds but
-    the conclusion's fails; all assignments of an algebra at once.
+    the conclusion's fails, with meet starting from the top value and
+    the order that of the matrix; all assignments of a matrix at once.
     Every right side is non-empty.
 
-    Without ``algebras`` only the four-element algebra M4 is searched,
-    and its answer holds for every finite power of M4 as well.  A
-    product algebra computes meet, join, ~, #, top and the order
-    componentwise (``algebra.product_algebra``), so an assignment into
-    A x B is a pair of assignments, one into each factor, and every
-    formula takes the pair of their values.  An inequality holds at the
-    pair exactly when it holds at both coordinates.  So where every
-    premise holds and the conclusion fails, the premises hold at both
-    coordinates and the conclusion fails at one of them: that
-    coordinate is a counterexample in its factor.  By induction a
-    counterexample in a finite power of M4 projects to one in M4, and
-    none in M4 means none in any of them."""
-    if algebras is None:
-        algebras = (_m4(),)
+    By default only M4 is searched, and its answer holds for every
+    finite power of M4 as well.  A product (``algebra.product_algebra``)
+    computes meet, join, ~, #, top and the order componentwise, so an
+    assignment into A x B is a pair of assignments, one into each
+    factor, and every formula takes the pair of their values.  An
+    inequality holds at the pair exactly when it holds at both
+    coordinates.  So where every premise holds and the conclusion
+    fails, the premises hold at both coordinates and the conclusion
+    fails at one of them: that coordinate is a counterexample in its
+    factor.  By induction a counterexample in a finite power of M4
+    projects to one in M4, and none in M4 means none in any of them."""
     names = variables_of(f for left, right in [*premises, conclusion]
                          for f in itertools.chain(left, right))
-    for alg in algebras:
-        planes, one = value_planes(names, alg.carrier, alg.tables()), alg.carrier.index(alg.one)
-        mask = planes.full & ~planes.below(*conclusion, one, alg.leq_pairs)
+    for m in matrices:
+        planes = value_planes(names, m)
+        mask = planes.full & ~planes.below(*conclusion)
         for left, right in premises:
-            mask &= planes.below(left, right, one, alg.leq_pairs)
+            mask &= planes.below(left, right)
         if mask:
             return planes.first(mask)
     return None

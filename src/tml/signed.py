@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .matrix import _CONNECTIVE, LogicalMatrix, M4, TruthValue, Valuation, evaluate
-from .proofs import CheckError, from_json, passes, render, shared, to_json, walk
+from .proofs import CheckError, from_json, passes, render, shared, to_json, tree_eq, walk
 from .record import Record
 from .search import Step, decide
 from .syntax import Box, Formula, Neg, formula_key, mentions_bot, parse
@@ -179,11 +179,7 @@ class SFDerivation(Record):
         object.__setattr__(self, "signed", signed)
         object.__setattr__(self, "premises", premises)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.rule, self.signed, self.premises)
-                    == (other.rule, other.signed, other.premises))
-        return NotImplemented
+    __eq__ = tree_eq
 
     def __hash__(self) -> int:
         return hash((self.rule, self.signed, self.premises))

@@ -279,7 +279,8 @@ class SyntaxError_(ValueError):
         self.column = column
 
 
-_ALIASES = {"¬": "~", "□": "#", "∧": "&", "∨": "|", "⊥": "bot", "⇒": "=>"}
+# ⊥ becomes " bot ", a token of its own: "p⊥" is p then bot, not pbot
+_ALIASES = {"¬": "~", "□": "#", "∧": "&", "∨": "|", "⊥": " bot ", "⇒": "=>"}
 
 _TOKEN = rf"{_IDENT_RE.pattern}|[~#&|()]"
 _TOKEN_RE = re.compile(_TOKEN)

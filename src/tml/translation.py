@@ -60,12 +60,12 @@ class ExpressivenessSpec(Record):
         """Exhaustively: a formula takes value t iff all n_side instances
         are non-designated and all d_side instances designated.  The
         templates over p suffice, bit i of a mask being p = value i."""
-        planes = value_planes([PLACEHOLDER.name], m.values, m.tables())
+        planes = value_planes([PLACEHOLDER.name], m)
         for i, value in enumerate(m.values):
             vt = self.per_value[value]
             d_side = [t.body for t in vt.d_side]
             n_side = [t.body for t in vt.n_side]
-            if planes.refuting(d_side, n_side, m) != 1 << i:
+            if planes.refuting(d_side, n_side) != 1 << i:
                 return False
         return True
 
@@ -144,7 +144,7 @@ def verify_two_equivalence(s: NSequent, spec: ExpressivenessSpec,
     once."""
     twos = two_of_nsequent(s, spec, m)
     names = variables_of(f for comp in s.components for f in comp)
-    planes = value_planes(names, m.values, m.tables())
+    planes = value_planes(names, m)
     # an n-sequent holds where some formula of component i takes value i
     lhs = 0
     for i, comp in enumerate(s.components):
@@ -152,7 +152,7 @@ def verify_two_equivalence(s: NSequent, spec: ExpressivenessSpec,
             lhs |= planes.where(f, i)
     rhs = planes.full
     for t in twos:
-        rhs &= ~planes.refuting(t.left, t.right, m)
+        rhs &= ~planes.refuting(t.left, t.right)
     return lhs == rhs
 
 

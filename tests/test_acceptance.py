@@ -25,10 +25,9 @@ import time
 
 import pytest
 
-from tml.algebra import (algebra_evaluate, check_tma_laws, m4_algebra,
-                         product_algebra)
+from tml.algebra import check_tma_laws, product_algebra
 from tml.gcalc import cut_necessity_probe
-from tml.matrix import (M4, bundled_m4_path, degree_consequence, load_matrix,
+from tml.matrix import (M4, bundled_m4_path, degree_consequence, evaluate, load_matrix,
                         matrix_consequence)
 from tml.nd import check_nd, disjunction_of, nd_to_sc, sc_to_nd
 from tml.proofs import CheckError, dumps, walk
@@ -158,9 +157,8 @@ def test_criterion_01_truth_table_fidelity():
 
 def test_criterion_02_algebra_laws():
     t0 = time.time()
-    base = m4_algebra()
-    r1 = check_tma_laws(base)
-    r2 = check_tma_laws(product_algebra(base, base))
+    r1 = check_tma_laws(M4)
+    r2 = check_tma_laws(product_algebra(M4, M4))
     elapsed = time.time() - t0
     ok = r1.all_pass and r2.all_pass and elapsed < 1.0
     report(2, ok, f"{len(r1.checks)} laws pass on the 4-element algebra and its square "
@@ -449,18 +447,18 @@ def test_criterion_13_nd_round_trip(corpus):
 
 def test_criterion_14_variety_soundness(corpus):
     t0 = time.time()
-    base = m4_algebra()
+    base = M4
     square = product_algebra(base, base)
     failures = 0
 
-    def holds(alg, assign, seq):
-        lo = alg.one
+    def holds(m, assign, seq):
+        lo = m.ops["neg"](m.ops["bot"]())   # the top, ~bot
         for f in seq.left:
-            lo = alg.meet[(lo, algebra_evaluate(f, assign, alg))]
-        hi = alg.zero
+            lo = m.ops["and"](lo, evaluate(f, assign, m))
+        hi = m.ops["bot"]()
         for f in seq.right:
-            hi = alg.join[(hi, algebra_evaluate(f, assign, alg))]
-        return alg.leq(lo, hi)
+            hi = m.ops["or"](hi, evaluate(f, assign, m))
+        return m.leq(lo, hi)
 
     def vars_of(seq):
         out = set()
@@ -470,7 +468,7 @@ def test_criterion_14_variety_soundness(corpus):
 
     for seq, _ in corpus["provable"]:
         names = vars_of(seq)
-        for combo in itertools.product(base.carrier, repeat=len(names)):
+        for combo in itertools.product(base.values, repeat=len(names)):
             if not holds(base, dict(zip(names, combo)), seq):
                 failures += 1
                 break
@@ -479,7 +477,7 @@ def test_criterion_14_variety_soundness(corpus):
     while sampled < 500:
         seq, _ = rng.choice(corpus["provable"])
         names = vars_of(seq)
-        assign = {n: rng.choice(square.carrier) for n in names}
+        assign = {n: rng.choice(square.values) for n in names}
         sampled += 1
         if not holds(square, assign, seq):
             failures += 1
@@ -488,7 +486,7 @@ def test_criterion_14_variety_soundness(corpus):
         names = vars_of(seq)
         if len(names) > 2:
             continue
-        for combo in itertools.product(square.carrier, repeat=len(names)):
+        for combo in itertools.product(square.values, repeat=len(names)):
             if not holds(square, dict(zip(names, combo)), seq):
                 failures += 1
                 break

@@ -5,15 +5,26 @@ import random
 
 import pytest
 
-from tml.algebra import (Algebra, algebra_evaluate, check_tma_laws, m4_algebra,
-                         product_algebra)
-from tml.matrix import Planes, evaluate
-from tml.syntax import And, Var, parse
+from tml.algebra import check_tma_laws, product_algebra
+from tml.matrix import M4, LogicalMatrix, Operation, Planes, evaluate
+from tml.syntax import BOT, And, Neg, Var, parse
 
 
 @pytest.fixture(scope="module")
 def m4():
-    return m4_algebra()
+    return M4
+
+
+def _identity_box(m):
+    """The matrix with # the identity."""
+    return _with(m, "box", {(a,): a for a in m.values})
+
+
+def _with(m, name, table):
+    """The matrix with the table of one connective replaced."""
+    return LogicalMatrix(m.values, m.designated,
+                         {**m.ops, name: Operation(m.ops[name].arity, table)},
+                         m.order, m.connective_order)
 
 
 def test_m4_passes_all_laws(m4):
@@ -22,10 +33,7 @@ def test_m4_passes_all_laws(m4):
 
 
 def test_identity_box_fails_first_axiom(m4):
-    broken = m4.__class__(
-        carrier=m4.carrier, meet=m4.meet, join=m4.join, neg=m4.neg,
-        box={a: a for a in m4.carrier}, zero=m4.zero)
-    report = check_tma_laws(broken)
+    report = check_tma_laws(_identity_box(m4))
     check = report.by_name("modal_axiom_box_meet_neg")
     assert not check.holds
     assert check.witness == ("n",)  # n & ~n = n, not 0
@@ -33,9 +41,11 @@ def test_identity_box_fails_first_axiom(m4):
 
 def test_product_is_closed_under_the_laws(m4):
     square = product_algebra(m4, m4)
-    assert len(square.carrier) == 16
-    assert square.neg[("1", "0")] == ("0", "1")
-    assert square.box[("1", "b")] == ("1", "0")
+    assert len(square.values) == 16
+    assert square.ops["neg"](("1", "0")) == ("0", "1")
+    assert square.ops["box"](("1", "b")) == ("1", "0")
+    assert square.designated == {(x, y) for x in "b1" for y in "b1"}
+    assert square.leq(("n", "0"), ("1", "b")) and not square.leq(("n", "0"), ("b", "b"))
     report = check_tma_laws(square)
     assert report.all_pass, "\n".join(str(c) for c in report.failing())
 
@@ -74,46 +84,41 @@ LAW_NAMES = [
 def test_algebra_evaluate_componentwise(m4):
     square = product_algebra(m4, m4)
     f = parse("#(p | q)")
-    got = algebra_evaluate(f, {"p": ("1", "0"), "q": ("n", "1")}, square)
-    assert got == (m4.box[m4.join[("1", "n")]], m4.box[m4.join[("0", "1")]])
+    got = evaluate(f, {"p": ("1", "0"), "q": ("n", "1")}, square)
+    assert got == (evaluate(f, {"p": "1", "q": "n"}), evaluate(f, {"p": "0", "q": "1"}))
 
 
 def test_one_is_neg_zero(m4):
-    assert m4.one == "1"
+    assert m4.top() == evaluate(Neg(BOT), {}, m4) == "1"
     square = product_algebra(m4, m4)
-    assert square.one == ("1", "1")
+    assert square.top() == evaluate(Neg(BOT), {}, square) == ("1", "1")
 
 
-def _mutant(alg, table, key, value):
-    """The algebra with one entry of one operation (or its zero) changed."""
-    fields = {name: getattr(alg, name)
-              for name in ("carrier", "meet", "join", "neg", "box", "zero")}
-    fields[table] = value if table == "zero" else {**fields[table], key: value}
-    return Algebra(**fields)
+def _mutant(m, name, key, value):
+    """The matrix with one entry of one operation changed."""
+    return _with(m, name, {**m.ops[name].table, key: value})
 
 
-def _single_entry_mutants(alg):
-    for table in ("meet", "join", "neg", "box"):
-        for key, old in getattr(alg, table).items():
-            for value in alg.carrier:
+# the connectives in the order the mutants draw them, bot last
+_MUTATED = ("and", "or", "neg", "box", "bot")
+
+
+def _single_entry_mutants(m):
+    for name in _MUTATED:
+        for key, old in m.ops[name].table.items():
+            for value in m.values:
                 if value != old:
-                    yield _mutant(alg, table, key, value)
-    for value in alg.carrier:
-        if value != alg.zero:
-            yield _mutant(alg, "zero", None, value)
+                    yield _mutant(m, name, key, value)
 
 
-def _seeded_mutants(alg, n, seed):
+def _seeded_mutants(m, n, seed):
     rng = random.Random(seed)
     for _ in range(n):
-        table = rng.choice(("meet", "join", "neg", "box", "zero"))
-        if table == "zero":
-            old, key = alg.zero, None
-        else:
-            key = rng.choice(sorted(getattr(alg, table)))
-            old = getattr(alg, table)[key]
-        yield _mutant(alg, table, key,
-                      rng.choice([e for e in alg.carrier if e != old]))
+        name = rng.choice(_MUTATED)
+        # bot has the one key (), so no key is drawn for it
+        key = () if name == "bot" else rng.choice(sorted(m.ops[name].table))
+        old = m.ops[name].table[key]
+        yield _mutant(m, name, key, rng.choice([e for e in m.values if e != old]))
 
 
 # sha256 of the (name, holds, witness) triples of every report below, as
@@ -123,10 +128,7 @@ LAW_REPORT_FINGERPRINT = "b3a7d13a1521a5cd0e8335bcb8260af74284c58c9f799f4c0a4bb4
 
 
 def test_law_reports_golden(m4):
-    identity_box = m4.__class__(
-        carrier=m4.carrier, meet=m4.meet, join=m4.join, neg=m4.neg,
-        box={a: a for a in m4.carrier}, zero=m4.zero)
-    algebras = [identity_box, *_single_entry_mutants(m4),
+    algebras = [_identity_box(m4), *_single_entry_mutants(m4),
                 *_seeded_mutants(product_algebra(m4, m4), 30, seed=5)]
     assert len(algebras) == 1 + 123 + 30
     h = hashlib.sha256()
@@ -146,7 +148,7 @@ def test_algebra_evaluate_deep_chain(m4):
     for i in range(3000):
         chain = And(chain, q) if i % 2 else And(q, chain)
     square = product_algebra(m4, m4)
-    got = algebra_evaluate(chain, {"p": ("1", "n"), "q": ("b", "1")}, square)
+    got = evaluate(chain, {"p": ("1", "n"), "q": ("b", "1")}, square)
     assert got == (evaluate(chain, {"p": "1", "q": "b"}),
                    evaluate(chain, {"p": "n", "q": "1"})) == ("b", "n")
 
@@ -156,10 +158,10 @@ def test_algebra_evaluate_matches_the_kernel_on_mutants(m4):
     # are not commutative
     formulas = [parse(t) for t in ("p & q", "q | ~#p", "#(p & ~q) | q & p",
                                    "~(q & bot) & (p | #q)")]
-    for alg in _single_entry_mutants(m4):
-        planes = Planes(["p", "q"], alg.carrier, alg.tables())
+    for m in _single_entry_mutants(m4):
+        planes = Planes(["p", "q"], m)
         for f in formulas:
             x = planes[f]
-            for j, (a, b) in enumerate(itertools.product(alg.carrier, repeat=2)):
-                got = algebra_evaluate(f, {"p": a, "q": b}, alg)
-                assert x[alg.carrier.index(got)] >> j & 1, (f, a, b)
+            for j, (a, b) in enumerate(itertools.product(m.values, repeat=2)):
+                got = evaluate(f, {"p": a, "q": b}, m)
+                assert x[m.index(got)] >> j & 1, (f, a, b)

@@ -14,9 +14,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# The names ``tml/__init__`` exported when it imported every submodule.
+# The names ``tml/__init__`` exported when it imported every submodule,
+# less ``Algebra``, ``algebra_evaluate`` and ``m4_algebra``: algebras are
+# logical matrices, evaluated by ``evaluate``, and M4 is one.
 EXPORTED = """
-Algebra algebra_evaluate check_tma_laws m4_algebra product_algebra
+check_tma_laws product_algebra
 GProof GRule GSequent check_g_proof cut_necessity_probe g_search_cutfree
 LogicalMatrix M4 countermodel degree_consequence evaluate matrix_consequence
 satisfies valuations
@@ -146,8 +148,9 @@ def _name(node):
 def _plane_format_breaches(tree):
     """The lines of a module outside ``tml.matrix`` that import a private
     name of it other than ``_CONNECTIVE``, build a kernel other than
-    through ``value_planes``, or subscript a kernel: ``planes``, or a
-    name or attribute assigned a value that calls ``value_planes``."""
+    through ``value_planes``, call ``tables()``, the index tables a
+    kernel reads, or subscript a kernel: ``planes``, or a name or
+    attribute assigned a value that calls ``value_planes``."""
     kernels = {"planes"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
@@ -164,7 +167,7 @@ def _plane_format_breaches(tree):
             private = {alias.name for alias in node.names if alias.name.startswith("_")}
             if not private <= {"_CONNECTIVE"}:
                 yield node.lineno
-        elif isinstance(node, ast.Call) and _name(node.func) in _KERNELS:
+        elif isinstance(node, ast.Call) and _name(node.func) in (*_KERNELS, "tables"):
             yield node.lineno
         elif isinstance(node, ast.Subscript) and _name(node.value) in kernels:
             yield node.lineno
@@ -174,7 +177,8 @@ def test_only_matrix_knows_the_plane_format():
     # the value-plane kernels live in tml.matrix: their helpers stay
     # private to the module and only the connective names are shared;
     # other modules get a kernel from value_planes, the one place that
-    # picks a format, and ask it queries, never reading its planes
+    # picks a format, and ask it queries, never reading its planes or the
+    # index tables they are built with
     for path in sorted((SRC / "tml").glob("*.py")):
         if path.name != "matrix.py":
             tree = ast.parse(path.read_text(), str(path))
@@ -183,9 +187,10 @@ def test_only_matrix_knows_the_plane_format():
 
 def test_the_plane_format_guard_sees_each_breach():
     tree = ast.parse("from .matrix import _apply2\n"
-                     "one_hot = Planes(names, m.values, m.tables())\n"
-                     "p, one = value_planes(names, m.values, m.tables()), 3\n"
+                     "one_hot = Planes(names, m)\n"
+                     "p, one = value_planes(names, m), 3\n"
                      "lhs = p[f][i]\n"
                      "rhs = planes[f]\n"
-                     "fine = {}[f]\n")
-    assert sorted(_plane_format_breaches(tree)) == [1, 2, 4, 5]
+                     "fine = {}[f]\n"
+                     "tables = m.tables()\n")
+    assert sorted(_plane_format_breaches(tree)) == [1, 2, 4, 5, 7]

@@ -6,7 +6,7 @@ witnesses, with their keys in the same order.  (The verdicts of
 ``rule_soundness`` are pinned by ``test_sc.py``.)  The property tests
 compare the queries with a pointwise loop over ``evaluate``, written
 here, on M4 and on a three-valued matrix, and Dunn's two planes, which
-answer M4, with the one-hot planes.
+answer M4, with the one-hot planes, which answer every other matrix.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tml.algebra import algebra_evaluate, m4_algebra, product_algebra
+from tml.algebra import product_algebra
 from tml.matrix import (M4, DunnPlanes, Planes, UnknownConnectiveError,
                         bundled_m4_path, countermodel, degree_consequence,
                         evaluate, load_matrix, matrix_consequence,
@@ -150,22 +150,20 @@ def test_schema_counterexample_golden():
 
 def test_schema_counterexample_golden_on_the_square():
     (premises, conclusion), _ = MUTANT_WITNESSES[0]
-    base = m4_algebra()
-    got = schema_counterexample(premises, conclusion,
-                                (product_algebra(base, base),))
+    got = schema_counterexample(premises, conclusion, (product_algebra(M4, M4),))
     assert list(got.items()) == [("a", ("0", "n")), ("d", ("0", "0")),
                                  ("g", ("0", "n"))], list(got.items())
 
 
-def _holds(alg, assignment, side):
+def _holds(m, assignment, side):
     """meet(left) <= join(right) at one assignment, evaluated pointwise."""
     left, right = side
-    lo, hi = alg.one, alg.zero
+    lo, hi = m.top(), m.ops["bot"]()
     for f in left:
-        lo = alg.meet[(lo, algebra_evaluate(f, assignment, alg))]
+        lo = m.ops["and"](lo, evaluate(f, assignment, m))
     for f in right:
-        hi = alg.join[(hi, algebra_evaluate(f, assignment, alg))]
-    return alg.leq(lo, hi)
+        hi = m.ops["or"](hi, evaluate(f, assignment, m))
+    return m.leq(lo, hi)
 
 
 def _schemas_and_mutants():
@@ -184,19 +182,18 @@ def test_the_square_agrees_with_m4():
     # neither does, and a square witness projects, in one coordinate, to
     # an assignment into M4 where every premise holds and the conclusion
     # fails, checked pointwise
-    m4 = m4_algebra()
-    square = product_algebra(m4, m4)
+    square = product_algebra(M4, M4)
     refuted = 0
     for premises, conclusion in _schemas_and_mutants():
-        on_m4 = schema_counterexample(premises, conclusion, (m4,))
+        on_m4 = schema_counterexample(premises, conclusion, (M4,))
         on_square = schema_counterexample(premises, conclusion, (square,))
         assert (on_m4 is None) == (on_square is None), (premises, conclusion)
         if on_square is None:
             continue
         refuted += 1
         projections = [{x: v[k] for x, v in on_square.items()} for k in (0, 1)]
-        assert any(all(_holds(m4, a, side) for side in premises)
-                   and not _holds(m4, a, conclusion) for a in projections)
+        assert any(all(_holds(M4, a, side) for side in premises)
+                   and not _holds(M4, a, conclusion) for a in projections)
     assert refuted >= 10, refuted
 
 
@@ -300,7 +297,7 @@ def test_planes_are_pointwise_values(m, query, rng):
     rng.shuffle(fs)
     names = sorted(_names(fs))
     vs = valuations(names, m)
-    planes = Planes(names, m.values, m.tables())
+    planes = Planes(names, m)
     for f in fs:
         for j, v in enumerate(vs):
             assert [x >> j & 1 for x in planes[f]] == \
@@ -315,7 +312,7 @@ def test_variable_planes_closed_form(m):
     for k in range(9):
         names = [f"x{i}" for i in range(k)]
         size = n ** k
-        got = Planes(names, m.values, m.tables())
+        got = Planes(names, m)
         for i, planes in enumerate(got[Var(x)] for x in names):
             step = n ** (k - 1 - i)
             repunit = ((1 << size) - 1) // ((1 << step * n) - 1)
@@ -381,63 +378,77 @@ def test_deep_conjunction_chain():
 
 
 # ---------------------------------------------------------------------------
-# Dunn's two planes against the one-hot planes
+# Dunn's two planes against the one-hot planes, and which matrix gets which
 
-# M4's values and tables with designated {1} and the chain 0 < n < b < 1:
-# the two planes answer these through their value masks
-M4_OTHER_ORDER = matrix_from_json({**matrix_to_json(M4), "designated": ["1"],
-                                   "order": [["0", "n"], ["n", "b"], ["b", "1"]]})
-
-
-@pytest.mark.parametrize("m", [M4, load_matrix(bundled_m4_path()), M4_OTHER_ORDER],
-                         ids=["M4", "m4.json", "other-order"])
+@pytest.mark.parametrize("m", [M4, load_matrix(bundled_m4_path())], ids=["M4", "m4.json"])
 @settings(max_examples=150, deadline=None)
 @given(_queries(max_leaves=8, max_vars=6))
 def test_dunn_planes_agree_with_the_one_hot_planes(m, query):
     gamma, delta, phi = query
     fs = gamma + delta + [phi]
     names = sorted(_names(fs))
-    dunn = value_planes(names, m.values, m.tables())
+    dunn = value_planes(names, m)
     assert type(dunn) is DunnPlanes
-    one_hot = Planes(names, m.values, m.tables())
+    one_hot = Planes(names, m)
     assert dunn.full == one_hot.full
     for f in fs:
         for i in range(4):
             assert dunn.where(f, i) == one_hot[f][i]
         assert dunn.differ(f, phi) == one_hot.differ(f, phi)
-    mask = dunn.refuting(gamma, delta, m)
-    assert mask == one_hot.refuting(gamma, delta, m)
+    mask = dunn.refuting(gamma, delta)
+    assert mask == one_hot.refuting(gamma, delta)
     if mask:
         assert list(dunn.first(mask).items()) == list(one_hot.first(mask).items())
-    leq = [(m.index(a), m.index(b)) for a, b in m.order]
-    for top in range(4):
-        assert dunn.below(gamma, [phi, *delta], top, leq) == \
-            one_hot.below(gamma, [phi, *delta], top, leq)
+    assert dunn.below(gamma, [phi, *delta]) == one_hot.below(gamma, [phi, *delta])
 
 
 def test_m4_in_any_form_gets_the_two_planes():
-    alg = m4_algebra(load_matrix(bundled_m4_path()))
-    assert type(value_planes(["p"], alg.carrier, alg.tables())) is DunnPlanes
-    assert type(value_planes(["p"], M4.values, M4.tables())) is DunnPlanes
+    assert type(value_planes(["p"], M4)) is DunnPlanes
+    assert type(value_planes(["p"], load_matrix(bundled_m4_path()))) is DunnPlanes
+
+
+def _m4_with(**changes):
+    return matrix_from_json({**matrix_to_json(M4), **changes})
+
+
+def _single_entry_mutant():
+    doc = matrix_to_json(M4)
+    doc["connectives"]["and"]["table"]["n,b"] = "n"
+    return matrix_from_json(doc)
+
+
+# every matrix but M4 gets the one-hot planes, M4's tables with another
+# designated set or order included
+ONE_HOT = [_m4_with(designated=["1"]), _m4_with(order=[["0", "n"], ["n", "b"], ["b", "1"]]),
+           _single_entry_mutant(), product_algebra(M4, M4)]
+
+
+@pytest.mark.parametrize("m", ONE_HOT, ids=["designated-1", "chain-order", "mutant", "square"])
+@settings(max_examples=100, deadline=None)
+@given(_queries(max_leaves=5, max_vars=3))
+def test_one_hot_queries_match_pointwise_loops(m, query):
+    gamma, delta, phi = query
+    seq = Sequent.of(gamma, delta)
+    want = next((v for v in valuations(_names(gamma + delta), m)
+                 if not sequent_satisfied(v, seq, m)), None)
+    got = countermodel(gamma, delta, m)
+    assert got == want
+    if got is not None:
+        assert list(got) == list(want)
+    assert degree_consequence(gamma, phi, m) == _degree_pointwise(gamma, phi, m)
 
 
 def test_other_carriers_and_tables_get_the_one_hot_planes():
-    # a single-entry mutant of M4, M4's values with n and b swapped (the
-    # same index tables, as n and b are symmetric in M4) and the
-    # 16-element square; answers checked with the pointwise evaluator
-    base = m4_algebra()
-    mutant = matrix_to_json(M4)
-    mutant["connectives"]["and"]["table"]["n,b"] = "n"
-    reordered = {**matrix_to_json(M4), "values": ["0", "b", "n", "1"]}
-    algebras = [m4_algebra(matrix_from_json(mutant)),
-                m4_algebra(matrix_from_json(reordered)),
-                product_algebra(base, base)]
+    # the matrices above and M4's values with n and b swapped (the same
+    # index tables, as n and b are symmetric in M4); answers checked
+    # with the pointwise evaluator
+    matrices = [*ONE_HOT, _m4_with(values=["0", "b", "n", "1"])]
     formulas = [parse(t) for t in ("p & q", "q | ~#p", "#(p & ~q) | q & p",
                                    "~(q & bot) & (p | #q)")]
-    for alg in algebras:
-        planes = value_planes(["p", "q"], alg.carrier, alg.tables())
+    for m in matrices:
+        planes = value_planes(["p", "q"], m)
         assert type(planes) is Planes
         for f in formulas:
-            for j, (a, b) in enumerate(itertools.product(alg.carrier, repeat=2)):
-                got = algebra_evaluate(f, {"p": a, "q": b}, alg)
-                assert planes.where(f, alg.carrier.index(got)) >> j & 1, (f, a, b)
+            for j, (a, b) in enumerate(itertools.product(m.values, repeat=2)):
+                got = evaluate(f, {"p": a, "q": b}, m)
+                assert planes.where(f, m.index(got)) >> j & 1, (f, a, b)

@@ -4,7 +4,6 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from tml.algebra import m4_algebra
 from tml.matrix import (M4, MissingVariableError, UnknownConnectiveError,
                         bundled_m4_path, countermodel, degree_consequence,
                         evaluate, load_matrix, matrix_consequence,
@@ -113,19 +112,27 @@ class TestDegreeConsequence:
             assert degree_consequence(g, phi) == matrix_consequence(g, [phi])
 
 
+def _m4_operations():
+    """M4's meet, join, negation and box as dicts, the binary ones keyed
+    by pairs of values and the unary ones by values."""
+    ops = M4.ops
+    return (ops["and"].table, ops["or"].table,
+            {a: v for (a,), v in ops["neg"].table.items()},
+            {a: v for (a,), v in ops["box"].table.items()})
+
+
 class TestDerivedIdentities:
     """The stock modal identities hold under evaluation of random formulas."""
 
     @given(st.integers(0, 3), st.integers(0, 3))
     def test_identities_pointwise(self, i, j):
-        alg = m4_algebra()
         a = M4.values[i]
         b = M4.values[j]
-        m, jn, n, bx = alg.meet, alg.join, alg.neg, alg.box
+        m, jn, n, bx = _m4_operations()
         assert jn[(n[bx[a]], a)] == "1"
         assert jn[(bx[a], n[a])] == jn[(a, n[a])]
         assert m[(bx[a], n[bx[a]])] == "0"
-        assert alg.leq(bx[a], a)
+        assert M4.leq(bx[a], a)
         assert bx[bx[a]] == bx[a]
         assert bx[m[(a, b)]] == m[(bx[a], bx[b])]
         assert bx[jn[(a, bx[b])]] == jn[(bx[a], bx[b])]
@@ -133,21 +140,20 @@ class TestDerivedIdentities:
         assert m[(a, bx[n[a]])] == "0"
 
     def test_box_join_implication_all_triples(self):
-        alg = m4_algebra()
-        for x, y, z in itertools.product(alg.carrier, repeat=3):
-            if alg.leq(x, alg.join[(y, z)]) and alg.leq(alg.meet[(x, alg.neg[z])], y):
-                assert alg.leq(x, alg.join[(y, alg.box[z])])
+        meet, join, neg, box = _m4_operations()
+        for x, y, z in itertools.product(M4.values, repeat=3):
+            if M4.leq(x, join[(y, z)]) and M4.leq(meet[(x, neg[z])], y):
+                assert M4.leq(x, join[(y, box[z])])
 
     def test_identities_at_evaluated_formulas(self, small_pool):
         # the identities hold with a, b instantiated at values of random formulas
         import random
         rng = random.Random(31)
-        alg = m4_algebra()
         for _ in range(100):
             alpha, beta = rng.choice(small_pool), rng.choice(small_pool)
             v = {name: rng.choice(M4.values) for name in ("p", "q")}
             a, b = evaluate(alpha, v), evaluate(beta, v)
-            m, j, n, bx = alg.meet, alg.join, alg.neg, alg.box
+            m, j, n, bx = _m4_operations()
             assert j[(n[bx[a]], a)] == "1"
             assert bx[m[(a, b)]] == m[(bx[a], bx[b])]
             assert bx[m[(bx[a], bx[b])]] == m[(bx[a], bx[b])]

@@ -253,3 +253,19 @@ def test_the_guard_sees_recursion():
         ["m.C.a", "m.C.b", "m.C.b.inner"], ["m.f", "m.g"], ["m.h"], ["m.outer.loop"]]
     assert _unexplained({frozenset({"m.h"})}, {frozenset({"m.f", "m.g"}): "why"}) == (
         [["m.h"]], [["m.f", "m.g"]])
+
+
+def test_tall_proofs_compare_without_recursion():
+    # 1,200 conjuncts make a proof 1,201 nodes high, past the recursion
+    # limit: an equal proof read back from JSON, and one whose leaf differs
+    from tml.sc import proof_from_json, proof_to_json, prove
+    from tml.sequents import parse_sequent
+    proof = prove(parse_sequent(" & ".join(["p"] + ["q"] * 1199) + " => p"))
+    doc = proof_to_json(proof)
+    back = proof_from_json(doc)
+    assert back is not proof and back == proof
+    leaf = doc
+    while leaf["premises"]:
+        leaf = leaf["premises"][0]
+    leaf["principal"] = ["q"]
+    assert proof_from_json(doc) != proof

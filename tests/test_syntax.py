@@ -185,7 +185,7 @@ def test_parse_returns_a_formula_or_a_positioned_error(pieces):
 
 @pytest.mark.parametrize("text, line, column", [
     ("⊥ ⊥", 1, 3), ("p ∧ ⊥ )", 1, 7), ("⊥⇒p", 1, 2), ("⊥ &\n⊥ ⊥", 2, 3),
-    ("⊥ & (", 1, 6)])
+    ("⊥ & (", 1, 6), ("p⊥", 1, 2), ("⊥p", 1, 2), ("⊥⊥", 1, 2)])
 def test_an_error_after_an_alias_is_placed_in_the_typed_text(text, line, column):
     with pytest.raises(SyntaxError_) as e:
         parse(text)
