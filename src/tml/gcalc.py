@@ -28,7 +28,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .matrix import (M4, DunnPlanes, MissingVariableError, Planes, matrix_consequence,
                      render_valuation, value_planes)
-from .proofs import CheckError, from_json, passes, render, shared, to_json, tree_eq, walk
+from .proofs import (CheckError, from_json, passes, render, shared, to_json, tree_eq,
+                     tree_hash, walk)
 from .record import Record
 from .sc import is_cut_free, prove
 from .sequents import Sequent, sequent_satisfied, side_texts
@@ -87,7 +88,7 @@ class GSequent(Record):
 
 
 class GProof(Record):
-    __slots__ = ("rule", "sequent", "premises")
+    __slots__ = ("rule", "sequent", "premises", "_hash")
     rule: GRule
     sequent: GSequent
     premises: tuple[GProof, ...]
@@ -99,8 +100,7 @@ class GProof(Record):
 
     __eq__ = tree_eq
 
-    def __hash__(self) -> int:
-        return hash((self.rule, self.sequent, self.premises))
+    __hash__ = tree_hash
 
     def json_fields(self, sides: dict) -> dict:
         return {"rule": self.rule.value,

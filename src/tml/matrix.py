@@ -10,7 +10,7 @@ designated {b, 1}, lattice join/meet for | and &, the involution
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .record import Record
 from .syntax import And, Bot, Box, Formula, Neg, Or, Var, variables_of
@@ -111,16 +111,24 @@ class LogicalMatrix(Record):
         hit = _TABLES.get(id(self))
         if hit is None:
             idx = {v: i for i, v in enumerate(self.values)}
-            hit = _TABLES[id(self)] = (self, {
+            hit = _TABLES[id(self)] = {
                 name: tuple(idx[op.table[args]]
                             for args in itertools.product(self.values, repeat=op.arity))
-                for name, op in self.ops.items() if op.arity == _ARITY.get(name)})
-        return hit[1]
+                for name, op in self.ops.items() if op.arity == _ARITY.get(name)}
+            forget_with(self, _TABLES)
+        return hit
 
 
-# keyed by id(); the entry holds the matrix, so the id cannot be reused.
+def forget_with(m: LogicalMatrix, cache: dict) -> None:
+    """Drop ``cache[id(m)]`` when m is collected, before its id can be
+    reused, so that a cache keyed by id holds no matrix alive."""
+    import weakref   # not loaded where site has not; once per matrix
+    weakref.finalize(m, cache.pop, id(m), None)
+
+
+# keyed by id(), the entry dropped with the matrix (``forget_with``).
 # Not an attribute: one set late on M4 slows every attribute load of it.
-_TABLES: dict[int, tuple[LogicalMatrix, dict[str, tuple[int, ...]]]] = {}
+_TABLES: dict[int, dict[str, tuple[int, ...]]] = {}
 
 
 def _order_closure(pairs: Iterable[tuple[str, str]], values: Sequence[str]) -> frozenset[tuple[str, str]]:
@@ -278,26 +286,26 @@ class _Kernel(dict):
     post-order over the interned formula DAG that stops at the formulas
     already held; gives the mask of valuations where a formula takes one
     of some value indices (``among``); and answers ``refuting`` and
-    ``below`` with the designated set, the top and the order of ``m``."""
+    ``below`` with the designated set, the top and the order of ``m``.
+
+    A variable's planes depend on the format, the number of values n,
+    the number of variables k and its position, not on its name: they
+    are built once per shape (``_SHAPES``) and shared, being immutable
+    ints, by every kernel of that shape, up to ``_SHAPES_MAX`` valuations.
+    A larger kernel builds its own, so that they go when it does."""
 
     __slots__ = ("names", "m", "full")
 
     def __init__(self, names: Sequence[str], m: LogicalMatrix) -> None:
         self.names, self.m = names, m
-        n, k = len(m.values), len(names)
-        size = n ** k
-        self.full = full = (1 << size) - 1
-        for i, name in enumerate(names):
-            # digit i of j counts runs of `step` bits, n runs to a period:
-            # value 0 on the first run of each period, value a a runs later.
-            # Built by doubling; dividing full by a repunit is quadratic.
-            step = n ** (k - 1 - i)
-            low, width = (1 << step) - 1, step * n
-            while width < size:
-                low |= low << width
-                width *= 2
-            low &= full
-            self[Var(name)] = self._variable([low << a * step for a in range(n)])
+        key = (self._variable, len(m.values), len(names))
+        shape = _SHAPES.get(key)
+        if shape is None:
+            shape = _variable_planes(*key)
+            if key[1] ** key[2] <= _SHAPES_MAX:
+                _SHAPES[key] = shape
+        self.full, planes = shape
+        self.update(zip(map(Var, names), planes))
 
     def first(self, mask: int) -> dict:
         """The valuation of the lowest set bit of a non-empty mask, its
@@ -313,6 +321,36 @@ class _Kernel(dict):
     def where(self, f: Formula, i: int) -> int:
         """The valuations where f takes the value of index i."""
         return self.among(f, (i,))
+
+
+def _variable_planes(variable: Callable[[list[int]], Any], n: int, k: int,
+                     ) -> tuple[int, tuple[Any, ...]]:
+    """``full`` over k variables into n values, and the planes of each
+    variable by position, in the format ``variable`` makes of its n
+    one-hot planes."""
+    size = n ** k
+    full = (1 << size) - 1
+    out = []
+    for i in range(k):
+        # digit i of j counts runs of `step` bits, n runs to a period:
+        # value 0 on the first run of each period, value a a runs later.
+        # Built by doubling; dividing full by a repunit is quadratic.
+        step = n ** (k - 1 - i)
+        low, width = (1 << step) - 1, step * n
+        while width < size:
+            low |= low << width
+            width *= 2
+        low &= full
+        out.append(variable([low << a * step for a in range(n)]))
+    return full, tuple(out)
+
+
+# the variable planes of each kernel shape (format, n, k) built so far,
+# of at most _SHAPES_MAX valuations: 4^8, the most the G search prunes
+# with.  All shapes of a format then take at most 0.19 MB for Dunn's
+# planes, 0.35 MB for one-hot planes over four values, 0.53 MB over 16.
+_SHAPES_MAX = 4 ** 8
+_SHAPES: dict[tuple[Any, int, int], tuple[int, tuple[Any, ...]]] = {}
 
 
 def _apply1(table: Sequence[int], x: Sequence[int]) -> list[int]:

@@ -20,7 +20,8 @@ from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import sc
-from .proofs import CheckError, fold, from_json, render, shared, to_json, tree_eq, walk
+from .proofs import (CheckError, fold, from_json, render, shared, to_json, tree_eq,
+                     tree_hash, walk)
 from .record import Record
 from .sc import ScProof, ScRule
 from .sequents import Sequent
@@ -73,7 +74,7 @@ _DISCHARGE_AT = {r: tuple(at for at, _ in row[2]) for r, row in _RULES.items() i
 
 
 class NDDeduction(Record):
-    __slots__ = ("rule", "conclusion", "premises", "marker", "discharges")
+    __slots__ = ("rule", "conclusion", "premises", "marker", "discharges", "_hash")
     rule: str
     conclusion: Formula
     premises: tuple[NDDeduction, ...]
@@ -91,8 +92,7 @@ class NDDeduction(Record):
 
     __eq__ = tree_eq
 
-    def __hash__(self) -> int:
-        return hash((self.rule, self.conclusion, self.premises, self.marker, self.discharges))
+    __hash__ = tree_hash
 
     def json_fields(self, memo: dict) -> dict:
         doc: dict = {"rule": self.rule, "conclusion": self.conclusion.text}

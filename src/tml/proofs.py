@@ -7,7 +7,8 @@ of nodes; ``json_fields(memo)``, its JSON object with an empty
 memo)``, which reads those fields and returns the builder of the node
 from its premises; and ``label()``, its line of text.  The memo lasts
 one ``to_json`` or ``from_json`` call (see ``shared``).  The rest is
-here, all iterative, the classes' ``__eq__`` (``tree_eq``) included.
+here, all iterative, the classes' ``__eq__`` (``tree_eq``) and
+``__hash__`` (``tree_hash``) included.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 
-__all__ = ["Path", "CheckError", "passes", "walk", "fold", "tree_eq", "shared", "to_json",
-           "dumps", "dump_chunks", "from_json", "render"]
+__all__ = ["Path", "CheckError", "passes", "walk", "fold", "tree_eq", "tree_hash", "shared",
+           "to_json", "dumps", "dump_chunks", "from_json", "render"]
 
 Path = tuple[int, ...]   # premise indices from the root down to a node
 
@@ -106,6 +107,26 @@ def tree_eq(a: Any, b: Any) -> Any:
             return False
         stack += zip(x.premises, y.premises)
     return True
+
+
+def tree_hash(root: Any) -> int:
+    """``hash`` of the tuple of a node's fields, premises included, as a
+    recursive ``__hash__`` would give, without recursing at any height:
+    on the first call the hashes are computed bottom-up on an explicit
+    stack, and each is kept in the node's ``_hash`` slot, which is not
+    one of its ``_fields``, so repr and ``tree_eq`` do not see it."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if getattr(node, "_hash", None) is None:
+            pending = [p for p in node.premises if getattr(p, "_hash", None) is None]
+            if pending:
+                stack += pending
+                continue
+            object.__setattr__(node, "_hash",
+                               hash(tuple(getattr(node, f) for f in node._fields)))
+        stack.pop()
+    return root._hash
 
 
 def shared(memo: dict, key: Hashable, make: Callable[[Any], Any]) -> Any:

@@ -19,7 +19,8 @@ from functools import cache, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .matrix import M4, LogicalMatrix, value_planes
-from .proofs import CheckError, fold, from_json, passes, render, shared, to_json, tree_eq, walk
+from .proofs import (CheckError, fold, from_json, passes, render, shared, to_json, tree_eq,
+                     tree_hash, walk)
 from .record import Record
 from .search import Step, decide
 from .sequents import Sequent, render_sequent, side_texts
@@ -58,7 +59,7 @@ class ScRule(str, Enum):
 
 
 class ScProof(Record):
-    __slots__ = ("rule", "sequent", "principal", "premises")
+    __slots__ = ("rule", "sequent", "principal", "premises", "_hash")
     rule: ScRule
     sequent: Sequent
     principal: tuple[Formula, ...]
@@ -73,8 +74,7 @@ class ScProof(Record):
 
     __eq__ = tree_eq
 
-    def __hash__(self) -> int:
-        return hash((self.rule, self.sequent, self.principal, self.premises))
+    __hash__ = tree_hash
 
     def json_fields(self, sides: dict) -> dict:
         seq = self.sequent

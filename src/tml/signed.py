@@ -17,8 +17,10 @@ import itertools
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .matrix import _CONNECTIVE, LogicalMatrix, M4, TruthValue, Valuation, evaluate
-from .proofs import CheckError, from_json, passes, render, shared, to_json, tree_eq, walk
+from .matrix import (_CONNECTIVE, LogicalMatrix, M4, TruthValue, Valuation, evaluate,
+                     forget_with)
+from .proofs import (CheckError, from_json, passes, render, shared, to_json, tree_eq,
+                     tree_hash, walk)
 from .record import Record
 from .search import Step, decide
 from .syntax import Box, Formula, Neg, formula_key, mentions_bot, parse
@@ -113,15 +115,15 @@ class _RuleTable(NamedTuple):
     sign_index: dict[TruthValue, int]
 
 
-# keyed by id(); the entry holds the matrix, so the id cannot be reused
-_RULE_TABLES: dict[int, tuple[LogicalMatrix, _RuleTable]] = {}
+# keyed by id(), the entry dropped with the matrix (``matrix.forget_with``)
+_RULE_TABLES: dict[int, _RuleTable] = {}
 
 
 def _rule_table(m: LogicalMatrix) -> _RuleTable:
     """The rules of a matrix indexed for checking and search, built once."""
     hit = _RULE_TABLES.get(id(m))
     if hit is not None:
-        return hit[1]
+        return hit
     rules = generate_sf_rules(m)
     tuples_for: dict[tuple[str, TruthValue], list[tuple[TruthValue, ...]]] = {}
     for rule in rules:
@@ -130,7 +132,8 @@ def _rule_table(m: LogicalMatrix) -> _RuleTable:
     table = _RuleTable({r.name: r for r in rules},
                        {k: tuple(v) for k, v in tuples_for.items()},
                        {v: i for i, v in enumerate(m.values)})
-    _RULE_TABLES[id(m)] = (m, table)
+    _RULE_TABLES[id(m)] = table
+    forget_with(m, _RULE_TABLES)
     return table
 
 
@@ -168,7 +171,7 @@ def embed_two_sided(gamma: Iterable[Formula], delta: Iterable[Formula],
 
 
 class SFDerivation(Record):
-    __slots__ = ("rule", "signed", "premises")
+    __slots__ = ("rule", "signed", "premises", "_hash")
     rule: str
     signed: frozenset[SignedFormula]
     premises: tuple[SFDerivation, ...]
@@ -181,8 +184,7 @@ class SFDerivation(Record):
 
     __eq__ = tree_eq
 
-    def __hash__(self) -> int:
-        return hash((self.rule, self.signed, self.premises))
+    __hash__ = tree_hash
 
     def json_fields(self, sets: dict) -> dict:
         return {"signed": shared(sets, self.signed, _signed_texts), "rule": self.rule,

@@ -141,19 +141,37 @@ def verify_two_equivalence(s: NSequent, spec: ExpressivenessSpec,
                            m: LogicalMatrix = M4) -> bool:
     """A valuation satisfies the n-sequent iff it satisfies every
     translated sequent; checked over all valuations of its variables at
-    once."""
-    twos = two_of_nsequent(s, spec, m)
+    once.
+
+    A partition's sequent is refuted where every formula meets the slot
+    it was given: where its instance is designated for an n-side slot
+    (the left), not designated for a d-side one (the right).  A
+    partition picks one slot per formula, so by distributivity some
+    translated sequent is refuted exactly where every formula meets some
+    slot of its value: one mask per (formula, slot), not one sequent per
+    partition.  Raises as ``partitions`` does, looking up the templates
+    of non-empty components only."""
+    if len(s.components) != len(m.values):
+        raise ValueError("n-sequent arity does not match the matrix")
+    cells = [(i, value, comp, spec.templates(value))
+             for i, (value, comp) in enumerate(zip(m.values, s.components)) if comp]
+    for _, value, _, vt in cells:
+        if not vt.n_side and not vt.d_side:
+            raise ValueError(f"no slots available for value {value!r}")
     names = variables_of(f for comp in s.components for f in comp)
     planes = value_planes(names, m)
-    # an n-sequent holds where some formula of component i takes value i
-    lhs = 0
-    for i, comp in enumerate(s.components):
+    lhs, refuted = 0, planes.full
+    for i, _, comp, vt in cells:
         for f in comp:
+            # an n-sequent holds where some formula of component i takes value i
             lhs |= planes.where(f, i)
-    rhs = planes.full
-    for t in twos:
-        rhs &= ~planes.refuting(t.left, t.right)
-    return lhs == rhs
+            met = 0
+            for t in vt.n_side:
+                met |= planes.refuting((substitute(t, f),), ())
+            for t in vt.d_side:
+                met |= planes.refuting((), (substitute(t, f),))
+            refuted &= met
+    return lhs == planes.full & ~refuted
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tml.algebra import product_algebra
-from tml.matrix import (M4, DunnPlanes, Planes, UnknownConnectiveError,
+from tml.matrix import (M4, DunnPlanes, LogicalMatrix, Planes, UnknownConnectiveError,
                         bundled_m4_path, countermodel, degree_consequence,
                         evaluate, load_matrix, matrix_consequence,
                         matrix_from_json, matrix_to_json, satisfies,
@@ -452,3 +452,69 @@ def test_other_carriers_and_tables_get_the_one_hot_planes():
             for j, (a, b) in enumerate(itertools.product(m.values, repeat=2)):
                 got = evaluate(f, {"p": a, "q": b}, m)
                 assert planes.where(f, m.index(got)) >> j & 1, (f, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the variable planes shared per kernel shape, and the caches per matrix
+
+def _per_valuation_planes(n, k):
+    """Variable i's one-hot planes over k variables into n values, one
+    valuation at a time: bit j of plane a is set iff digit i of j in
+    base n is a."""
+    size, out = n ** k, []
+    for i in range(k):
+        step = n ** (k - 1 - i)
+        digits = bytes(j // step % n for j in range(size))[::-1]   # bit 0 last
+        out.append([int(digits.translate(bytes(49 if d == a else 48 for d in range(256))), 2)
+                    for a in range(n)])
+    return out
+
+
+SHARED = [M4, _m4_with(designated=["1"]), product_algebra(M4, M4)]
+
+
+@pytest.mark.parametrize("m", SHARED, ids=["dunn", "one-hot", "square"])
+def test_variable_planes_are_built_once_per_shape(m):
+    from tml.matrix import _SHAPES, _SHAPES_MAX
+    n = len(m.values)
+    for k in range(5):
+        xs = [f"x{i}" for i in range(k)]
+        ys = [f"y{i}" for i in range(k)]
+        a, b = value_planes(xs, m), value_planes(ys, m)
+        assert a.full == b.full == (1 << n ** k) - 1
+        for x, y, want in zip(xs, ys, _per_valuation_planes(n, k)):
+            assert [a.where(Var(x), v) for v in range(n)] == want
+            assert [b.where(Var(y), v) for v in range(n)] == want
+            assert a[Var(x)] is b[Var(y)]   # one object, shared
+    assert all(n ** k <= _SHAPES_MAX for _, n, k in _SHAPES)
+
+
+def test_large_kernels_keep_no_planes():
+    from tml.matrix import _SHAPES, _SHAPES_MAX
+    names = [f"x{i}" for i in range(9)]
+    f = parse(" | ".join(names))
+    for m in SHARED[:2]:
+        assert countermodel([], [f], m) == dict.fromkeys(names, "0")
+    assert [k for k in _SHAPES if k[1:] == (4, 9)] == []
+    assert all(n ** k <= _SHAPES_MAX for _, n, k in _SHAPES)
+
+
+def test_deleted_matrices_leave_no_cached_tables():
+    # each matrix's index tables and signed rule tables go with it
+    import gc
+
+    from tml import matrix, signed
+    goal = [signed.parse_signed(t) for t in ("0:p", "n:p", "b:p", "1:p")]
+    ids = set()
+    for _ in range(50):
+        square, one = product_algebra(M4, M4), _m4_with(designated=["1"])
+        for m in (square, one):
+            assert countermodel([Var("p")], [Var("q")], m) is not None
+        assert signed.sf_prove(goal, one) is not None
+        assert {id(square), id(one)} <= matrix._TABLES.keys()
+        assert id(one) in signed._RULE_TABLES
+        ids |= {id(square), id(one)}
+        del square, one, m
+    gc.collect()
+    live = {id(o) for o in gc.get_objects() if isinstance(o, LogicalMatrix)}
+    assert not (ids - live) & (matrix._TABLES.keys() | signed._RULE_TABLES.keys())

@@ -269,3 +269,15 @@ def test_tall_proofs_compare_without_recursion():
         leaf = leaf["premises"][0]
     leaf["principal"] = ["q"]
     assert proof_from_json(doc) != proof
+
+
+def test_tall_proofs_hash_without_recursion():
+    # the 1,201-high proof hashes, to the hash of its fields; an equal
+    # proof read back from JSON to the same value
+    from tml.sc import proof_from_json, proof_to_json, prove
+    from tml.sequents import parse_sequent
+    proof = prove(parse_sequent(" & ".join(["p"] + ["q"] * 1199) + " => p"))
+    back = proof_from_json(proof_to_json(proof))
+    assert hash(proof) == hash(back)
+    assert hash(proof) == hash((proof.rule, proof.sequent, proof.principal, proof.premises))
+    assert len({proof, back}) == 1

@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
 
+from tml import translation
 from tml.matrix import M4, valuations
 from tml.sequents import Sequent, render_sequent, sequent_satisfied
 from tml.signed import NSequent, generate_sf_rules, nsequent_satisfied
-from tml.syntax import (Box, FormulaTemplate, Neg, PLACEHOLDER, Var, parse)
+from tml.syntax import (Box, FormulaTemplate, Neg, PLACEHOLDER, Var, parse, variables_of)
 from tml.translation import (ExpressivenessSpec, ValueTemplates, m4_spec,
                              partitions, render_rule_sheet, rule_sheet_json,
                              spec_from_json, spec_to_json, two_of_calculus,
@@ -143,16 +145,102 @@ class TestEquivalence:
             assert verify_two_equivalence(NSequent.of(*comps), spec)
 
     def test_corrupted_spec_breaks_equivalence(self):
-        spec = m4_spec()
-        broken = ExpressivenessSpec({
-            **dict(spec.per_value),
-            "n": ValueTemplates(n_side=(FormulaTemplate(PLACEHOLDER),),
-                                d_side=(FormulaTemplate(Neg(PLACEHOLDER)),)),
-        })
+        broken = _broken_spec()
         bad = [s for s in [NSequent.of([], [Var("p")], [], []),
                            NSequent.of([Var("p")], [Var("p")], [], [])]
                if not verify_two_equivalence(s, broken)]
         assert bad
+
+
+def _three_slot_spec():
+    """m4_spec with a third, redundant, n-side slot for n: #p."""
+    spec = m4_spec()
+    vt = spec.templates("n")
+    return ExpressivenessSpec({
+        **dict(spec.per_value),
+        "n": ValueTemplates(n_side=vt.n_side + (FormulaTemplate(Box(PLACEHOLDER)),),
+                            d_side=()),
+    })
+
+
+def _broken_spec():
+    """m4_spec with n pinned by p => and => ~p, which 0 meets too."""
+    return ExpressivenessSpec({
+        **dict(m4_spec().per_value),
+        "n": ValueTemplates(n_side=(FormulaTemplate(PLACEHOLDER),),
+                            d_side=(FormulaTemplate(Neg(PLACEHOLDER)),)),
+    })
+
+
+SPECS = pytest.mark.parametrize("spec", [m4_spec(), _broken_spec(), _three_slot_spec()],
+                                ids=["m4", "broken", "three-slot"])
+
+
+def _pointwise_two_equivalence(s, spec):
+    """At every valuation, the n-sequent holds iff every sequent of its
+    translation holds, each evaluated pointwise."""
+    twos = two_of_nsequent(s, spec)
+    names = variables_of(f for comp in s.components for f in comp)
+    return all(nsequent_satisfied(v, s) == all(sequent_satisfied(v, t) for t in twos)
+               for v in valuations(names))
+
+
+def _random_nsequent(rng, pool, n_formulas):
+    comps = [[] for _ in range(4)]
+    for f in rng.sample(pool, n_formulas):
+        comps[rng.randrange(4)].append(f)
+    return NSequent.of(*comps)
+
+
+class TestOnePassEquivalence:
+    @SPECS
+    def test_matches_the_pointwise_check(self, spec, small_pool, monkeypatch):
+        rng = random.Random(41)
+        r = Var("r")
+        pool = small_pool + [Neg(r), Box(r), parse("r & p"), parse("~(q | r)"), parse("#r | ~p")]
+        cases = [_random_nsequent(rng, pool, rng.randrange(9)) for _ in range(60)]
+        # up to 12 formulas, over one variable to keep the oracle quick
+        p_only = [f for f in small_pool if variables_of([f]) == ["p"]]
+        cases += [_random_nsequent(rng, p_only, 12) for _ in range(2)]
+        want = [_pointwise_two_equivalence(s, spec) for s in cases]
+        # the one-pass check lists no partition
+        monkeypatch.setattr(translation, "partitions", None)
+        monkeypatch.setattr(translation, "two_of_nsequent", None)
+        assert [verify_two_equivalence(s, spec) for s in cases] == want
+
+    def test_raises_as_the_translation_does(self):
+        spec = m4_spec()
+        p = Var("p")
+        no_n_slot = ExpressivenessSpec({
+            **dict(spec.per_value), "n": ValueTemplates(n_side=(), d_side=())})
+        no_b = ExpressivenessSpec({v: vt for v, vt in spec.per_value.items() if v != "b"})
+        for s, sp, error in [
+                (NSequent.of([p], [], []), spec, ValueError),      # arity
+                (NSequent.of([p], [p], [], []), no_n_slot, ValueError),
+                (NSequent.of([], [], [p], []), no_b, KeyError)]:
+            with pytest.raises(error) as want:
+                two_of_nsequent(s, sp)
+            with pytest.raises(error) as got:
+                verify_two_equivalence(s, sp)
+            assert str(got.value) == str(want.value)
+        # the templates of an empty component are not read
+        for sp in (no_n_slot, no_b):
+            s = NSequent.of([p], [], [], [Neg(p)])
+            assert verify_two_equivalence(s, sp) == _pointwise_two_equivalence(s, sp)
+
+    def test_twelve_formulas_take_under_five_ms(self, small_pool):
+        # listing its 2^12 partitions took about 60 ms (CPython 3.11, 2-core VM)
+        rng = random.Random(5)
+        s = _random_nsequent(rng, [f for f in small_pool if len(variables_of([f])) == 2], 12)
+        assert sum(map(len, s.components)) == 12
+        best = min(_timed(verify_two_equivalence, s, m4_spec()) for _ in range(5))
+        assert best < 0.005, best
+
+
+def _timed(f, *args):
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
 
 
 def _corrected_or_table():
